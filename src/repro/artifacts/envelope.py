@@ -44,6 +44,11 @@ ENVELOPE_FIELDS = (
 )
 
 
+#: the shape :func:`envelope` produces, checked before the payload's own
+ENVELOPE_SHAPE = {"schema_version": int, "digest": str, "producer": str,
+                  "timing": {"created_s": float}, "payload": dict}
+
+
 def canonical_json(obj: Any) -> str:
     """Canonical text form: sorted keys, compact separators."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

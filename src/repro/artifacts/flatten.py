@@ -2,7 +2,7 @@
 
 The perf timeline stores flat numeric metrics with stable names; each
 artifact kind registers a ``flatten(payload) -> {name: float}`` hook
-next to its validator (:mod:`repro.artifacts.kinds`).  The hooks live
+next to its payload shape (:mod:`repro.artifacts.kinds`).  The hooks live
 with their subsystems; what they share lives here:
 
 - :class:`Sink` — collects metrics, skips junk (bools, non-finites,

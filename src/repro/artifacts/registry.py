@@ -1,4 +1,4 @@
-"""The validator/flattener registry and the schema-id constants.
+"""The artifact-kind registry and the schema-id constants.
 
 This module is the **single source of truth for schema ids**: every
 subsystem imports its id from here (``SCHEMA = registry.CHECK_REPORT``)
@@ -6,26 +6,28 @@ instead of repeating the string literal, so the acceptance grep
 ``'"repro\\.'`` finds schema ids defined nowhere else.
 
 Each schema registers an :class:`ArtifactKind` — ``(name, version,
-validate_payload, flatten)`` — exactly once.  ``validate_payload`` is
-the subsystem's payload check (the four pre-existing ``validate_*``
-functions, now registered instead of dispatched ad hoc); ``flatten`` is
-the :mod:`repro.perf` ingestion hook that turns a payload into flat
-``{metric name: float}`` rows, registered *next to* the validator so
-``repro.perf record`` ingests any enveloped artifact without perf code
-changes.
+shape, invariants, flatten)`` — exactly once.  ``shape`` is the payload
+shape literal the kind's builder produces (checked by
+:func:`repro.artifacts.shape.check`); ``invariants`` is the optional
+``payload -> list[str]`` check for what a shape cannot say (counts that
+must add up, cross-references), run only once the shape has passed;
+``flatten`` is the :mod:`repro.perf` ingestion hook that turns a
+payload into flat ``{metric name: float}`` rows, so ``repro.perf
+record`` ingests any enveloped artifact without perf code changes.
 
-Both hooks are declared as lazy ``"module:attr"`` references and
+All three are declared as lazy ``"module:attr"`` references and
 resolved on first use, so validating one artifact kind does not import
-the other five subsystems.  The builtin kinds live in
-:mod:`repro.artifacts.kinds`, loaded on the first registry query.
+the other subsystems.  The builtin kinds live in
+:mod:`repro.artifacts.kinds`, loaded with this module.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.artifacts.envelope import split_id
+from repro.artifacts.shape import check
 from repro.errors import ArtifactError
 
 # ---- schema ids (the only place these strings are defined) -----------------
@@ -44,11 +46,9 @@ DAEMON_STATUS = "repro.daemon.status/1"
 SERVE_LOAD = "repro.serve.load/1"
 SERVE_STORE = "repro.serve.store/1"
 
-_Hook = Optional[Union[str, Callable]]
 
-
-def _resolve(ref: _Hook) -> Optional[Callable]:
-    if ref is None or callable(ref):
+def _resolve(ref: Any) -> Any:
+    if not isinstance(ref, str):
         return ref
     mod, sep, attr = ref.partition(":")
     if not sep:
@@ -57,18 +57,21 @@ def _resolve(ref: _Hook) -> Optional[Callable]:
 
 
 class ArtifactKind:
-    """One registered schema: id, payload validator, perf flattener."""
+    """One registered schema: id, payload shape and invariants, perf
+    flattener."""
 
     def __init__(
         self,
         schema_id: str,
-        validate: _Hook = None,
-        flatten: _Hook = None,
+        shape: Any = dict,
+        invariants: Any = None,
+        flatten: Any = None,
         description: str = "",
     ) -> None:
         self.name, self.version = split_id(schema_id)
         self.description = description
-        self._validate = validate
+        self._shape = shape
+        self._invariants = invariants
         self._flatten = flatten
 
     @property
@@ -76,10 +79,19 @@ class ArtifactKind:
         return f"{self.name}/{self.version}"
 
     @property
-    def validate_payload(self) -> Optional[Callable]:
-        """``payload -> list[str]`` problems (empty = valid), or None."""
-        self._validate = _resolve(self._validate)
-        return self._validate
+    def shape(self) -> Any:
+        """The payload shape literal (see :mod:`repro.artifacts.shape`)."""
+        self._shape = _resolve(self._shape)
+        return self._shape
+
+    def validate_payload(self, payload: Any) -> list[str]:
+        """Problems with ``payload`` (empty = valid): the shape first,
+        then — only when it passed — the kind's invariants."""
+        problems = check(payload, self.shape)
+        if problems or self._invariants is None:
+            return problems
+        self._invariants = _resolve(self._invariants)
+        return self._invariants(payload)
 
     @property
     def flatten(self) -> Optional[Callable]:
@@ -93,36 +105,20 @@ class ArtifactKind:
 
 
 _KINDS: dict[str, ArtifactKind] = {}
-_builtins_loaded = False
 
 
-def register(
-    schema_id: str,
-    validate: _Hook = None,
-    flatten: _Hook = None,
-    description: str = "",
-) -> ArtifactKind:
-    """Register a schema once; :class:`ArtifactError` on a duplicate id."""
-    kind = ArtifactKind(schema_id, validate=validate, flatten=flatten,
-                        description=description)
+def register(schema_id: str, **hooks: Any) -> ArtifactKind:
+    """Register a schema once (``hooks`` are :class:`ArtifactKind`'s
+    keyword arguments); :class:`ArtifactError` on a duplicate id."""
+    kind = ArtifactKind(schema_id, **hooks)
     if kind.schema_id in _KINDS:
         raise ArtifactError(f"schema {kind.schema_id!r} is already registered")
     _KINDS[kind.schema_id] = kind
     return kind
 
 
-def _ensure_builtins() -> None:
-    global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        from repro.artifacts import kinds  # noqa: F401  (self-registers)
-
-
 def lookup(schema_id: Optional[str]) -> Optional[ArtifactKind]:
     """The registered kind for a full ``name/version`` id, or None."""
-    _ensure_builtins()
-    if not isinstance(schema_id, str):
-        return None
     return _KINDS.get(schema_id)
 
 
@@ -140,11 +136,13 @@ def get(schema_id: str) -> ArtifactKind:
 
 def known_ids() -> list[str]:
     """Every registered schema id, sorted."""
-    _ensure_builtins()
     return sorted(_KINDS)
 
 
 def versions_of(name: str) -> list[int]:
     """Registered versions of a kind name (for stale-version diagnosis)."""
-    _ensure_builtins()
     return sorted(k.version for k in _KINDS.values() if k.name == name)
+
+
+# the builtin kinds register themselves; their hooks stay lazy references
+from repro.artifacts import kinds  # noqa: E402,F401

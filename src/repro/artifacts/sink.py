@@ -26,22 +26,18 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.artifacts.envelope import is_envelope
+from repro.artifacts.envelope import is_envelope, schema_id_of
 from repro.errors import ArtifactError
 
 _CONTENT = "artifact"
 _REQUEST = "artifact-request"
 
 
-def _schema_id(env: dict) -> str:
-    return f"{env['schema']}/{env['schema_version']}"
-
-
 def content_key(env: dict) -> tuple:
     """The store key an envelope is content-addressed under."""
     if not is_envelope(env):
         raise ArtifactError("only enveloped documents go through the sink")
-    return (_CONTENT, _schema_id(env), env["digest"])
+    return (_CONTENT, schema_id_of(env), env["digest"])
 
 
 def request_key(schema_id: str, request: Any) -> tuple:
@@ -54,7 +50,7 @@ def put_artifact(store, env: dict, request: Any = None) -> str:
     pointer); returns the envelope digest."""
     store.put(content_key(env), env)
     if request is not None:
-        store.put(request_key(_schema_id(env), request), env)
+        store.put(request_key(schema_id_of(env), request), env)
     return env["digest"]
 
 
@@ -86,7 +82,7 @@ def list_artifacts(store) -> list[dict]:
             continue  # a request pointer or an unrelated entry
         timing = value.get("timing") or {}
         rows.append({
-            "schema": _schema_id(value),
+            "schema": schema_id_of(value),
             "digest": value["digest"],
             "producer": value.get("producer", ""),
             "created_s": timing.get("created_s"),

@@ -16,8 +16,8 @@ rule id                         fires when
 ``artifact/digest-mismatch``    the digest does not match the payload
 ``artifact/schema-mismatch``    the payload's legacy inner ``schema`` field
                                 disagrees with the envelope
-``artifact/invalid-payload``    the kind's registered payload check failed
-                                (one row per problem it reports)
+``artifact/invalid-payload``    the payload breaks the kind's shape or one
+                                of its invariants (one row per problem)
 ==============================  =============================================
 
 Bare pre-envelope documents are accepted (the legacy reader): their
@@ -32,11 +32,12 @@ from typing import Any, Optional
 
 from repro.artifacts import registry
 from repro.artifacts.envelope import (
+    ENVELOPE_SHAPE,
     is_envelope,
     payload_digest,
-    payload_of,
     schema_id_of,
 )
+from repro.artifacts.shape import check
 from repro.errors import ArtifactError
 
 RULE_NOT_OBJECT = "artifact/not-object"
@@ -60,29 +61,6 @@ class Problem:
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.message}"
-
-
-def _check_envelope_shape(doc: dict) -> list[Problem]:
-    problems = []
-    if not isinstance(doc.get("schema_version"), int) or isinstance(
-        doc.get("schema_version"), bool
-    ):
-        problems.append(Problem(
-            RULE_MALFORMED,
-            f"schema_version is {doc.get('schema_version')!r}, want an integer",
-        ))
-    if not isinstance(doc.get("digest"), str):
-        problems.append(Problem(RULE_MALFORMED, "digest missing or non-string"))
-    if not isinstance(doc.get("producer"), str):
-        problems.append(Problem(RULE_MALFORMED, "producer missing or non-string"))
-    timing = doc.get("timing")
-    if not isinstance(timing, dict) or "created_s" not in timing:
-        problems.append(Problem(
-            RULE_MALFORMED, "timing missing or lacks created_s"
-        ))
-    if not isinstance(doc.get("payload"), dict):
-        problems.append(Problem(RULE_MALFORMED, "payload missing or non-object"))
-    return problems
 
 
 def _check_schema_known(schema_id: str) -> Optional[Problem]:
@@ -112,7 +90,9 @@ def validate_document(doc: Any) -> list[Problem]:
 
     problems: list[Problem] = []
     if is_envelope(doc):
-        problems.extend(_check_envelope_shape(doc))
+        problems.extend(
+            Problem(RULE_MALFORMED, msg) for msg in check(doc, ENVELOPE_SHAPE)
+        )
         if problems:
             return problems
         schema_id = f"{doc['schema']}/{doc['schema_version']}"
@@ -144,11 +124,10 @@ def validate_document(doc: Any) -> list[Problem]:
         problems.append(unknown)
         return problems
 
-    check = registry.get(schema_id).validate_payload
-    if check is not None:
-        problems.extend(
-            Problem(RULE_PAYLOAD, msg) for msg in check(payload)
-        )
+    problems.extend(
+        Problem(RULE_PAYLOAD, msg)
+        for msg in registry.get(schema_id).validate_payload(payload)
+    )
     return problems
 
 
@@ -157,9 +136,9 @@ def require_valid(doc: Any) -> Any:
     structured problems otherwise."""
     problems = validate_document(doc)
     if problems:
-        head = problems[0]
-        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
-        raise ArtifactError(f"invalid artifact: {head}{more}", problems)
+        raise ArtifactError(
+            "invalid artifact: " + "; ".join(map(str, problems)), problems
+        )
     return doc
 
 

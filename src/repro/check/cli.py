@@ -12,7 +12,8 @@ blockability, and (3) re-derives the workload's default pass pipeline
 under ``check=True`` so every pass is bracketed by legality
 pre/postchecks and IR re-verification.  ``--json PATH`` writes a
 ``repro.check/1`` report (diagnostics + rule catalogue + lint
-verdicts) that :func:`repro.check.report.validate_report` accepts.
+verdicts), checked against the registered ``repro.check/1`` shape and
+invariants before it is written.
 
 With ``--store``, the run participates in the content-addressed
 artifact store: the enveloped report lands there under a request
@@ -34,9 +35,9 @@ from repro.artifacts import get_for_request, payload_of, write_file
 from repro.artifacts.registry import CHECK_REPORT
 from repro.check.diagnostics import RULES, Severity, errors_in
 from repro.check.linter import lint_blockability, lint_parallelism
-from repro.check.report import build_report, validate_report, write_report
+from repro.check.report import build_report, write_report
 from repro.check.verifier import verify_ir
-from repro.errors import CheckError, ReproError
+from repro.errors import ArtifactError, CheckError, ReproError
 from repro.pipeline import derive
 from repro.pipeline.cache import AnalysisCache
 from repro.pipeline.workloads import available_workloads, get_workload
@@ -154,12 +155,11 @@ def main(argv: Optional[list] = None) -> int:
             verdicts=verdicts,
             meta={"tool": __package__, "workloads": ",".join(names)},
         )
-        problems = validate_report(report)
-        if problems:  # self-check: never ship a malformed artifact
-            for p in problems:
-                print(f"error: invalid report: {p}", file=sys.stderr)
+        try:
+            write_report(args.json, report, store=store, request=request)
+        except ArtifactError as e:  # never ship a malformed artifact
+            print(f"error: {e}", file=sys.stderr)
             return 2
-        write_report(args.json, report, store=store, request=request)
         if args.json:
             print(f"report written to {args.json}")
         if store is not None:

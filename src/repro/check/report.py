@@ -1,4 +1,4 @@
-"""The ``repro.check/1`` report schema: build, validate, flatten, write.
+"""The ``repro.check/1`` report schema: build, shape, flatten, write.
 
 .. code-block:: text
 
@@ -15,15 +15,16 @@
 ``rules`` embeds the catalogue so a report is self-describing;
 ``summary`` counts diagnostics by severity; ``verdicts`` carries the
 linter's blockability classifications (also mirrored as ``lint/*``
-diagnostics).  :func:`validate_report` returns a list of problems
-(empty = valid) — the idiom of :func:`repro.obs.export.validate_metrics`
-— and the ``check-smoke`` CI job runs it over the shipped workloads.
-Reports are written enveloped (see :mod:`repro.artifacts`); schema
-identity and digest live in the envelope layer.
+diagnostics).  :data:`SHAPE` and :func:`invariants` are the registered
+payload check, run by :func:`repro.artifacts.publish` on the way out
+and by ``python -m repro.artifacts validate`` in the ``check-smoke`` CI
+job.  Reports are written enveloped (see :mod:`repro.artifacts`);
+schema identity and digest live in the envelope layer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional
 
 from repro.artifacts import publish
@@ -33,6 +34,23 @@ from repro.check.diagnostics import RULES, Diagnostic, Severity
 from repro.check.linter import LintResult
 
 _SEVERITIES = tuple(s.value for s in Severity)
+_VERDICTS = ("blockable", "blockable-with-commutativity", "not-blockable")
+
+#: the payload shape :func:`build_report` produces
+SHAPE = {
+    "meta": dict,
+    "rules": {str: {"severity": _SEVERITIES, "summary": str}},
+    "diagnostics": [{"rule": str, "severity": _SEVERITIES, "path": str,
+                     "message": str}],
+    "summary": dict.fromkeys(_SEVERITIES, int),
+    "verdicts": [{"procedure": str, "loop": str, "verdict": _VERDICTS,
+                  "reason": str, "preventing?": str}],
+}
+
+
+def _summary(diagnostics: list) -> dict:
+    seen = Counter(d["severity"] for d in diagnostics)
+    return {sev: seen[sev] for sev in _SEVERITIES}
 
 
 def build_report(
@@ -40,10 +58,7 @@ def build_report(
     verdicts: Iterable[LintResult] = (),
     meta: Optional[dict] = None,
 ) -> dict:
-    diags = list(diagnostics)
-    summary = {s: 0 for s in _SEVERITIES}
-    for d in diags:
-        summary[d.severity.value] += 1
+    diags = [d.to_dict() for d in diagnostics]
     return {
         "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
@@ -51,8 +66,8 @@ def build_report(
             r.id: {"severity": r.severity.value, "summary": r.summary}
             for r in RULES.values()
         },
-        "diagnostics": [d.to_dict() for d in diags],
-        "summary": summary,
+        "diagnostics": diags,
+        "summary": _summary(diags),
         "verdicts": [
             {
                 "procedure": v.procedure,
@@ -66,57 +81,19 @@ def build_report(
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a check-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    for key in ("meta", "rules", "summary"):
-        if not isinstance(doc.get(key), dict):
-            errors.append(f"missing or non-object field {key!r}")
-    for key in ("diagnostics", "verdicts"):
-        if not isinstance(doc.get(key), list):
-            errors.append(f"missing or non-list field {key!r}")
-    if errors:
-        return errors
-    counted = {s: 0 for s in _SEVERITIES}
-    for k, d in enumerate(doc["diagnostics"]):
-        if not isinstance(d, dict):
-            errors.append(f"diagnostics[{k}] is not an object")
-            continue
-        for key in ("rule", "severity", "path", "message"):
-            if not isinstance(d.get(key), str):
-                errors.append(f"diagnostics[{k}].{key} missing or non-string")
-        sev = d.get("severity")
-        if sev not in _SEVERITIES:
-            errors.append(f"diagnostics[{k}] has unknown severity {sev!r}")
-        else:
-            counted[sev] += 1
-        rule = d.get("rule")
-        if isinstance(rule, str) and rule not in doc["rules"]:
-            errors.append(f"diagnostics[{k}] cites uncatalogued rule {rule!r}")
+def invariants(doc: dict) -> list[str]:
+    """What :data:`SHAPE` cannot say: the summary counts the
+    diagnostics, and every cited rule is in the embedded catalogue."""
+    errors = [
+        f"diagnostics[{k}] cites uncatalogued rule {d['rule']!r}"
+        for k, d in enumerate(doc["diagnostics"]) if d["rule"] not in doc["rules"]
+    ]
     # the load-bearing invariant: summary counts match the diagnostics
-    for sev in _SEVERITIES:
-        want = doc["summary"].get(sev)
-        if want != counted[sev]:
+    for sev, n in _summary(doc["diagnostics"]).items():
+        if doc["summary"][sev] != n:
             errors.append(
-                f"summary[{sev!r}] is {want!r}, diagnostics contain "
-                f"{counted[sev]}"
-            )
-    valid_verdicts = (
-        "blockable", "blockable-with-commutativity", "not-blockable"
-    )
-    for k, v in enumerate(doc["verdicts"]):
-        if not isinstance(v, dict):
-            errors.append(f"verdicts[{k}] is not an object")
-            continue
-        for key in ("procedure", "loop", "verdict", "reason"):
-            if not isinstance(v.get(key), str):
-                errors.append(f"verdicts[{k}].{key} missing or non-string")
-        if v.get("verdict") not in valid_verdicts:
-            errors.append(
-                f"verdicts[{k}] has unknown verdict {v.get('verdict')!r}"
+                f"summary[{sev!r}] is {doc['summary'][sev]!r}, diagnostics "
+                f"contain {n}"
             )
     return errors
 

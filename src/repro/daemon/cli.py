@@ -154,7 +154,7 @@ def _cmd_start(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    from repro.artifacts.envelope import payload_of
+    from repro.artifacts.envelope import payload_of, write_file
     from repro.daemon import state as _state
 
     host, port = _state.endpoint_for(args.store_dir)
@@ -165,9 +165,7 @@ def _cmd_status(args) -> int:
         return 2
     envelope = reply.body
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh, indent=2)
-            fh.write("\n")
+        write_file(args.out, envelope)
     if args.json:
         print(json.dumps(envelope, indent=2))
         return 0

@@ -29,7 +29,8 @@ class AnalysisError(ReproError):
 class ArtifactError(ReproError):
     """An artifact document failed the shared envelope/registry layer
     (:mod:`repro.artifacts`): malformed envelope, unknown or stale schema,
-    digest mismatch, or a payload its registered validator rejects.
+    digest mismatch, or a payload that breaks its registered shape or
+    invariants.
 
     ``problems`` holds the structured
     :class:`~repro.artifacts.validate.Problem` list (possibly empty when

@@ -28,6 +28,7 @@ import threading
 import time
 from typing import Optional
 
+from repro.artifacts.shape import check
 from repro.errors import LoadError
 from repro.obs.core import Histogram
 from repro.serve.pool import STATUSES
@@ -40,35 +41,30 @@ from repro.load import report as _report
 _DRAIN_GRACE_S = 30.0
 
 
+#: what a grid must look like (``duration_s`` defaults to 2 s, ``weight``
+#: to 1)
+GRID_SHAPE = {"steps": [{"rate": float, "duration_s?": float}],
+              "mix": [{"job": dict, "weight?": int}]}
+
+
 def check_grid(grid: dict) -> dict:
     """Normalize and sanity-check a grid; :class:`LoadError` on nonsense."""
-    if not isinstance(grid, dict):
-        raise LoadError("grid must be a JSON object")
-    steps = grid.get("steps")
-    if not isinstance(steps, list) or not steps:
-        raise LoadError("grid needs a non-empty 'steps' list")
-    for i, step in enumerate(steps):
-        if not isinstance(step, dict):
-            raise LoadError(f"grid steps[{i}] is not an object")
-        rate = step.get("rate")
-        if not isinstance(rate, (int, float)) or rate <= 0:
-            raise LoadError(f"grid steps[{i}].rate must be > 0")
-        dur = step.get("duration_s", 2.0)
-        if not isinstance(dur, (int, float)) or dur <= 0:
-            raise LoadError(f"grid steps[{i}].duration_s must be > 0")
-        step["duration_s"] = float(dur)
-    mix = grid.get("mix")
-    if not isinstance(mix, list) or not mix:
-        raise LoadError("grid needs a non-empty 'mix' list")
-    for i, entry in enumerate(mix):
-        if not isinstance(entry, dict) or not isinstance(
-            entry.get("job"), dict
-        ):
-            raise LoadError(f"grid mix[{i}] needs a 'job' object")
-        weight = entry.get("weight", 1)
-        if not isinstance(weight, int) or weight < 1:
-            raise LoadError(f"grid mix[{i}].weight must be an integer >= 1")
-        entry["weight"] = weight
+    problems = check(grid, GRID_SHAPE)
+    if problems:
+        raise LoadError(f"bad grid: {'; '.join(problems)}")
+    for key in ("steps", "mix"):
+        if not grid[key]:
+            raise LoadError(f"grid needs a non-empty {key!r} list")
+    for i, step in enumerate(grid["steps"]):
+        dur = step.get("duration_s")
+        step["duration_s"] = 2.0 if dur is None else float(dur)
+        if step["rate"] <= 0 or step["duration_s"] <= 0:
+            raise LoadError(f"grid steps[{i}]: rate and duration_s must be > 0")
+    for i, entry in enumerate(grid["mix"]):
+        if entry.get("weight") is None:
+            entry["weight"] = 1
+        if entry["weight"] < 1:
+            raise LoadError(f"grid mix[{i}].weight must be >= 1")
     return grid
 
 

@@ -1,4 +1,4 @@
-"""The ``repro.serve.load/1`` payload: build, validate, flatten.
+"""The ``repro.serve.load/1`` payload: build, shape, flatten.
 
 .. code-block:: text
 
@@ -32,9 +32,11 @@ daemon, plus the client-visible admission outcomes ``shed`` (HTTP 429),
 ``deadline`` (HTTP 504), ``draining`` (HTTP 503), and ``error``
 (transport failure).  ``warm_p50_s``/``cold_p50_s`` merge the hit and
 computed latency streams across *all* steps — the 10x warm-speedup
-acceptance reads ``analysis.warm_speedup``.  :func:`flatten_report`
-emits ``load:*`` perf metrics.  Absolute latencies are
-machine-dependent: gate ratios and counts, record the rest for trend.
+acceptance reads ``analysis.warm_speedup``.  :data:`SHAPE` and
+:func:`invariants` are the registered payload check;
+:func:`flatten_report` emits ``load:*`` perf metrics.  Absolute
+latencies are machine-dependent: gate ratios and counts, record the
+rest for trend.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Optional
 
 from repro.artifacts.flatten import HIST_FIELDS, Sink
 from repro.artifacts.registry import SERVE_LOAD as SCHEMA
+from repro.artifacts.shape import HISTOGRAM
 
 #: every admission fate a client can observe, beyond the pool statuses
 CLIENT_OUTCOMES = ("shed", "deadline", "draining", "error")
@@ -68,67 +71,28 @@ def build_report(
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a load report (empty = valid) — the registered
-    payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    endpoint = doc.get("endpoint")
-    if not isinstance(endpoint, dict) or not isinstance(
-        endpoint.get("port"), int
-    ):
-        errors.append("endpoint missing or lacks an integer port")
-    if not isinstance(doc.get("grid"), dict):
-        errors.append("missing or non-object field 'grid'")
-    if not isinstance(doc.get("elapsed_s"), (int, float)):
-        errors.append("missing or non-numeric field 'elapsed_s'")
-    steps = doc.get("steps")
-    if not isinstance(steps, list) or not steps:
-        errors.append("missing or empty 'steps' list")
-        steps = []
-    for i, step in enumerate(steps):
-        where = f"steps[{i}]"
-        if not isinstance(step, dict):
-            errors.append(f"{where} is not an object")
-            continue
-        for key in ("rate", "duration_s", "throughput"):
-            if not isinstance(step.get(key), (int, float)):
-                errors.append(f"{where}.{key} missing or non-numeric")
-        for key in ("offered", "sent"):
-            if not isinstance(step.get(key), int):
-                errors.append(f"{where}.{key} missing or non-integer")
-        if not isinstance(step.get("outcomes"), dict):
-            errors.append(f"{where}.outcomes missing or non-object")
-        latency = step.get("latency")
-        if not isinstance(latency, dict):
-            errors.append(f"{where}.latency missing or non-object")
-            continue
-        for key in LATENCY_KEYS:
-            h = latency.get(key)
-            if not isinstance(h, dict):
-                errors.append(f"{where}.latency missing histogram {key!r}")
-                continue
-            missing = {"count", "mean", "p50", "p95", "p99"} - set(h)
-            if missing:
-                errors.append(
-                    f"{where}.latency[{key!r}] missing {sorted(missing)}"
-                )
-    analysis = doc.get("analysis")
-    if not isinstance(analysis, dict):
-        errors.append("missing or non-object field 'analysis'")
-        return errors
-    for key in ("warm_count", "cold_count"):
-        if not isinstance(analysis.get(key), int):
-            errors.append(f"analysis.{key} missing or non-integer")
-    knee = analysis.get("knee")
-    if knee is not None and (
-        not isinstance(knee, dict)
-        or not isinstance(knee.get("rate"), (int, float))
-        or not isinstance(knee.get("shed"), int)
-    ):
-        errors.append("analysis.knee must be null or carry rate and shed")
-    return errors
+#: the payload shape :func:`build_report` produces
+SHAPE = {
+    "endpoint": {"port": int},
+    "grid": dict,
+    "steps": [{
+        "rate": float,
+        "duration_s": float,
+        "offered": int,
+        "sent": int,
+        "outcomes": {str: int},
+        "latency": dict.fromkeys(LATENCY_KEYS, HISTOGRAM),
+        "throughput": float,
+    }],
+    "analysis": {"knee?": {"rate": float, "shed": int},
+                 "warm_count": int, "cold_count": int},
+    "elapsed_s": float,
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """A ramp report covers at least one step."""
+    return [] if doc["steps"] else ["steps: empty"]
 
 
 def flatten_report(doc: dict) -> dict:

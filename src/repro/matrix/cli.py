@@ -44,7 +44,7 @@ from repro.errors import MatrixError, ReproError
 from repro.matrix.analysis import METRICS
 from repro.matrix.db import MatrixDB
 from repro.matrix.grid import FACTOR_ORDER, GridSpec
-from repro.matrix.report import build_report, render, validate_report, write_report
+from repro.matrix.report import build_report, render, write_report
 from repro.matrix.runner import cell_digests, run_grid
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
@@ -225,14 +225,9 @@ def _run_sweep(args, grid: GridSpec) -> int:
         else:
             doc = go()
 
-    problems = validate_report(doc)
-    if problems:  # self-check: never ship a malformed artifact
-        for problem in problems:
-            print(f"invalid report: {problem}", file=sys.stderr)
-        return 2
-    if args.out:
-        # land the sweep artifact in the store the cells ran against
-        write_report(args.out, doc, store=store)
+    # publish validates even without --out (exit 2 on a malformed report);
+    # with --out the sweep lands in the store the cells ran against
+    write_report(args.out, doc, store=store if args.out else None)
     print(render(doc))
     if args.out:
         print(f"report written to {args.out}")
@@ -293,13 +288,7 @@ def _report(args) -> int:
         metric=args.metric,
         only=[args.only] if args.only else None,
     )
-    problems = validate_report(doc)
-    if problems:
-        for problem in problems:
-            print(f"invalid report: {problem}", file=sys.stderr)
-        return 2
-    if args.out:
-        write_report(args.out, doc, store=store)
+    write_report(args.out, doc, store=store if args.out else None)
     print(render(doc))
     if args.out:
         print(f"report written to {args.out}")

@@ -1,4 +1,4 @@
-"""The ``repro.matrix/1`` artifact: build, validate, render, write.
+"""The ``repro.matrix/1`` artifact: build, shape, render, write.
 
 .. code-block:: text
 
@@ -20,11 +20,11 @@
       'best_blocking': [{'workload', 'best_b', 'best_mean', 'per_b'}, ...]
     }
 
-``validate_report`` returns a list of problems (empty = valid) — the
-idiom shared with ``repro.obs``/``repro.check``/``repro.serve``; the
-``matrix-smoke`` CI job runs it over a real sweep, and the CLI validates
-before writing.  Reports are written enveloped (see
-:mod:`repro.artifacts`).
+:data:`SHAPE` and :func:`invariants` are the registered payload check,
+run by :func:`repro.artifacts.publish` before anything is written (the
+CLI exits 2 on a report that fails it); the ``matrix-smoke`` CI job
+re-checks a real sweep with ``python -m repro.artifacts validate``.
+Reports are written enveloped (see :mod:`repro.artifacts`).
 """
 
 from __future__ import annotations
@@ -40,13 +40,24 @@ from repro.matrix.analysis import (
     best_blocking,
     sensitivity,
     summarize,
-    varied_factors,
 )
 
 #: every terminal status a row may carry (pool statuses)
 ROW_STATUSES = ("hit", "computed", "retried", "timeout", "failed", "cancelled")
 
 _RUN_COUNTS = ("skipped",) + ROW_STATUSES
+
+#: the payload shape :func:`build_report` produces
+SHAPE = {
+    "meta": dict,
+    "grid?": {"factors": dict},
+    "run?": {"total": int},
+    "rows": [{"digest": str, "workload": str, "recipe": str,
+              "status": ROW_STATUSES}],
+    "summary": {"cells": int, "ok": int},
+    "sensitivity": {FACTOR_COLUMNS: {"levels": dict}},
+    "best_blocking": list,
+}
 
 
 def build_report(
@@ -84,73 +95,35 @@ def build_report(
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a matrix-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
+def invariants(doc: dict) -> list[str]:
+    """What :data:`SHAPE` cannot say: ok rows carry a speedup and failed
+    rows an error, the summary and run counts add up, and every
+    sensitivity factor compares at least two levels."""
     errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if not isinstance(doc.get("meta"), dict):
-        errors.append("missing or non-object field 'meta'")
-    if not isinstance(doc.get("rows"), list):
-        errors.append("missing or non-list field 'rows'")
-        return errors
-    for i, row in enumerate(doc["rows"]):
-        if not isinstance(row, dict):
-            errors.append(f"rows[{i}] is not an object")
-            continue
-        for field in ("digest", "workload", "recipe", "status"):
-            if not row.get(field):
-                errors.append(f"rows[{i}] missing field {field!r}")
-        if row.get("status") not in ROW_STATUSES:
-            errors.append(f"rows[{i}] has unknown status {row.get('status')!r}")
-        elif row["status"] in OK_STATUSES and row.get("speedup") is None:
-            errors.append(f"rows[{i}] is {row['status']} but has no speedup")
-        elif row["status"] not in OK_STATUSES and not row.get("error"):
+    rows = doc["rows"]
+    for i, row in enumerate(rows):
+        if row["status"] in OK_STATUSES:
+            if row.get("speedup") is None:
+                errors.append(f"rows[{i}] is {row['status']} but has no speedup")
+        elif not row.get("error"):
             errors.append(f"rows[{i}] is {row['status']} but carries no error")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        errors.append("missing or non-object field 'summary'")
-    else:
-        if summary.get("cells") != len(doc["rows"]):
-            errors.append(
-                f"summary.cells is {summary.get('cells')!r}, want {len(doc['rows'])}"
-            )
-        ok = sum(1 for r in doc["rows"] if r.get("status") in OK_STATUSES)
-        if summary.get("ok") != ok:
-            errors.append(f"summary.ok is {summary.get('ok')!r}, want {ok}")
-    sens = doc.get("sensitivity")
-    if not isinstance(sens, dict):
-        errors.append("missing or non-object field 'sensitivity'")
-    else:
-        for f, entry in sens.items():
-            if f not in FACTOR_COLUMNS:
-                errors.append(f"sensitivity names unknown factor {f!r}")
-                continue
-            if not isinstance(entry, dict) or not isinstance(
-                entry.get("levels"), dict
-            ):
-                errors.append(f"sensitivity[{f!r}] malformed")
-                continue
-            if len(entry["levels"]) < 2:
-                errors.append(f"sensitivity[{f!r}] has fewer than 2 levels")
-    if not isinstance(doc.get("best_blocking"), list):
-        errors.append("missing or non-list field 'best_blocking'")
-    grid = doc.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict) or not isinstance(grid.get("factors"), dict):
-            errors.append("field 'grid' must be null or carry a factors object")
+    summary = doc["summary"]
+    if summary["cells"] != len(rows):
+        errors.append(f"summary.cells is {summary['cells']!r}, want {len(rows)}")
+    ok = sum(1 for r in rows if r["status"] in OK_STATUSES)
+    if summary["ok"] != ok:
+        errors.append(f"summary.ok is {summary['ok']!r}, want {ok}")
+    for f, entry in doc["sensitivity"].items():
+        if len(entry["levels"]) < 2:
+            errors.append(f"sensitivity[{f!r}] has fewer than 2 levels")
     run = doc.get("run")
     if run is not None:
-        if not isinstance(run, dict):
-            errors.append("field 'run' must be null or an object")
-        else:
-            want = sum(run.get(k, 0) for k in _RUN_COUNTS)
-            if run.get("total") != want:
-                errors.append(
-                    f"run.total is {run.get('total')!r}, want {want} "
-                    "(skipped + per-status counts)"
-                )
+        want = sum(run.get(k, 0) for k in _RUN_COUNTS)
+        if run["total"] != want:
+            errors.append(
+                f"run.total is {run['total']!r}, want {want} "
+                "(skipped + per-status counts)"
+            )
     return errors
 
 

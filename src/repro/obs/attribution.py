@@ -9,7 +9,7 @@ reads it at every simulated access, accumulating per-site counters in a
 array)``, the finest grain, and the coarser views (per loop nest, per
 statement, per array) are aggregations of it — so every view's totals sum
 exactly to the run's :class:`~repro.machine.cache.CacheStats`, an
-invariant the exporter's validator and the test suite both assert.
+invariant the ``repro.obs/1`` invariants and the test suite both assert.
 
 Dirty evictions (write-backs) are charged to the access that *triggered*
 the eviction, not the statement that originally dirtied the line — the

@@ -32,6 +32,7 @@ import argparse
 import sys
 from typing import Optional
 
+from repro.artifacts import registry
 from repro.errors import PipelineError, ReproError
 from repro.machine.model import scaled_machine
 from repro.machine.tracer import trace_procedure
@@ -273,7 +274,7 @@ def main(argv: Optional[list] = None) -> int:
             machine_cache=tracer.stats,
             machine_tlb=tracer.tlb_stats,
         )
-        errors = export.validate_metrics(doc)
+        errors = registry.get(export.SCHEMA).validate_payload(doc)
         # an invalid profile is still written for offline inspection, but
         # never published to the store
         export.write_metrics(args.metrics, doc,

@@ -30,7 +30,7 @@ Two artifact formats come out of an observed run:
                       'by_array': {...}, 'totals': {...}} | null
     }
 
-:func:`validate_metrics` checks a payload against that shape and — the
+:data:`SHAPE` declares that shape and :func:`invariants` checks — the
 load-bearing invariant — that the attribution views each sum exactly to
 the attribution totals, and that those totals match the machine-level
 ``CacheStats`` when both are present.  Schema *identity* (right name,
@@ -40,15 +40,36 @@ right version, digest) is the envelope layer's job:
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-from repro.artifacts import publish
+from repro.artifacts import publish, write_file
 from repro.artifacts.flatten import HIST_FIELDS, Sink, cache_stats
 from repro.artifacts.registry import OBS_METRICS as SCHEMA
+from repro.artifacts.shape import HISTOGRAM
 from repro.obs.core import Obs
 
 _ATTR_FIELDS = ("accesses", "misses", "writebacks", "tlb_misses", "writes")
+_ATTR_COUNTS = dict.fromkeys(_ATTR_FIELDS, int)
+
+#: the payload shape :func:`metrics` produces
+SHAPE = {
+    "meta": dict,
+    "counters": {str: int},
+    "histograms": {str: HISTOGRAM},
+    "spans": {str: {"count": int, "total_s": float, "max_s": float}},
+    "analysis_cache": dict,
+    "machine": {"cache?": {"accesses": int, "misses": int,
+                           "writebacks": int},
+                "tlb?": dict},
+    "attribution?": {
+        "rows": [{"loop": str, "statement": str, "array": str,
+                  **_ATTR_COUNTS}],
+        "by_loop": {str: _ATTR_COUNTS},
+        "by_statement": {str: _ATTR_COUNTS},
+        "by_array": {str: _ATTR_COUNTS},
+        "totals": _ATTR_COUNTS,
+    },
+}
 
 
 def chrome_trace(obs: Obs) -> dict:
@@ -122,74 +143,31 @@ def metrics(
     }
 
 
-def _sum_view(view: dict, field: str) -> int:
-    return sum(row[field] for row in view.values())
-
-
-def validate_metrics(doc: dict) -> list[str]:
-    """Validate a metrics payload; returns a list of problems (empty =
-    valid) — the registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    for key in ("meta", "counters", "histograms", "spans", "analysis_cache", "machine"):
-        if not isinstance(doc.get(key), dict):
-            errors.append(f"missing or non-object field {key!r}")
-    if errors:
-        return errors
-
-    for name, v in doc["counters"].items():
-        if not isinstance(v, int):
-            errors.append(f"counter {name!r} is not an integer")
-    for name, h in doc["histograms"].items():
-        missing = {"count", "total", "min", "max", "mean",
-                   "p50", "p95", "p99"} - set(h)
-        if missing:
-            errors.append(f"histogram {name!r} missing {sorted(missing)}")
-    for name, s in doc["spans"].items():
-        missing = {"count", "total_s", "max_s"} - set(s)
-        if missing:
-            errors.append(f"span summary {name!r} missing {sorted(missing)}")
-
+def invariants(doc: dict) -> list[str]:
+    """The load-bearing invariant: the attribution views each sum
+    exactly to the attribution totals, and those totals match the
+    machine-level ``CacheStats`` when both are present."""
     attribution = doc.get("attribution")
-    if attribution is not None:
-        for key in ("rows", "by_loop", "by_statement", "by_array", "totals"):
-            if key not in attribution:
-                errors.append(f"attribution missing {key!r}")
-        if errors:
-            return errors
-        totals = attribution["totals"]
-        for field in _ATTR_FIELDS:
-            want = totals.get(field)
-            rows_sum = sum(r[field] for r in attribution["rows"])
-            if rows_sum != want:
-                errors.append(
-                    f"attribution rows sum {field}={rows_sum} != totals {want}"
-                )
-            for view in ("by_loop", "by_statement", "by_array"):
-                got = _sum_view(attribution[view], field)
-                if got != want:
-                    errors.append(
-                        f"attribution {view} sums {field}={got} != totals {want}"
-                    )
-        # the acceptance invariant: attribution == machine CacheStats
-        mcache = doc["machine"].get("cache")
-        if mcache is not None:
-            if totals.get("accesses") != mcache.get("accesses"):
-                errors.append(
-                    f"attribution accesses {totals.get('accesses')} != "
-                    f"machine cache accesses {mcache.get('accesses')}"
-                )
-            if totals.get("misses") != mcache.get("misses"):
-                errors.append(
-                    f"attribution misses {totals.get('misses')} != "
-                    f"machine cache misses {mcache.get('misses')}"
-                )
-            if totals.get("writebacks") != mcache.get("writebacks"):
-                errors.append(
-                    f"attribution writebacks {totals.get('writebacks')} != "
-                    f"machine cache writebacks {mcache.get('writebacks')}"
-                )
+    if attribution is None:
+        return []
+    errors: list[str] = []
+    totals = attribution["totals"]
+    views = {"rows": attribution["rows"]}
+    for view in ("by_loop", "by_statement", "by_array"):
+        views[view] = list(attribution[view].values())
+    for field in _ATTR_FIELDS:
+        for view, rows in views.items():
+            got = sum(row[field] for row in rows)
+            if got != totals[field]:
+                errors.append(f"attribution {view} sum {field}={got} != "
+                              f"totals {totals[field]}")
+    mcache = doc["machine"].get("cache")
+    for field in ("accesses", "misses", "writebacks"):
+        if mcache is not None and totals[field] != mcache[field]:
+            errors.append(
+                f"attribution {field} {totals[field]} != machine cache "
+                f"{field} {mcache[field]}"
+            )
     return errors
 
 
@@ -221,8 +199,5 @@ def write_metrics(path: Optional[str], doc: dict, store=None,
                    request=request, validate=validate)
 
 
-def write_json(path: str, doc: dict) -> None:
-    """Plain JSON writer — Chrome traces and other non-artifact dumps."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+#: plain JSON writer — Chrome traces and other non-artifact dumps
+write_json = write_file

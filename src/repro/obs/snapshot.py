@@ -43,6 +43,14 @@ from repro.artifacts.registry import OBS_SNAPSHOT as SCHEMA
 from repro.obs.core import Histogram, Obs, SpanEvent
 
 
+#: the payload shape :func:`snapshot` produces
+SHAPE = {
+    "counters": dict,
+    "histograms": dict,
+    "spans": [{"name": str, "ts": float, "dur": float, "depth": int}],
+}
+
+
 def snapshot(obs: Obs) -> dict:
     """The portable dict form of ``obs`` (span ``ts`` relative to its
     epoch, which is how :class:`SpanEvent` already stores them)."""
@@ -119,28 +127,6 @@ def _span(entry: dict) -> SpanEvent:
         args=dict(entry.get("args") or {}),
         lane=entry.get("lane"),
     )
-
-
-def validate_snapshot(doc: dict) -> list:
-    """Problems with a snapshot payload (empty list = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    problems = []
-    for field, typ in (
-        ("counters", dict), ("histograms", dict), ("spans", list),
-    ):
-        if not isinstance(doc.get(field), typ):
-            problems.append(f"{field} missing or not a {typ.__name__}")
-    if isinstance(doc.get("spans"), list):
-        for i, entry in enumerate(doc["spans"]):
-            if not isinstance(entry, dict):
-                problems.append(f"spans[{i}] is not an object")
-                continue
-            missing = {"name", "ts", "dur", "depth"} - set(entry)
-            if missing:
-                problems.append(f"spans[{i}] missing {sorted(missing)}")
-    return problems
 
 
 def _require(doc: dict) -> None:

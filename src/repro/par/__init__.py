@@ -35,7 +35,7 @@ from repro.par.detect import (
     classify_procedure,
     verdict_counts,
 )
-from repro.par.report import SCHEMA, build_report, validate_report, write_report
+from repro.par.report import SCHEMA, build_report, write_report
 from repro.par.sanitizer import RaceConflict, RaceSanitizer, SanitizeResult, sanitize
 from repro.par.shard import run_shard, run_sharded
 
@@ -56,7 +56,6 @@ __all__ = [
     "run_shard",
     "run_sharded",
     "sanitize",
-    "validate_report",
     "verdict_counts",
     "write_report",
 ]

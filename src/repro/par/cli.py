@@ -39,7 +39,7 @@ from typing import Optional
 
 from repro.errors import ReproError
 from repro.par.detect import annotate_procedure, classify_procedure, verdict_counts
-from repro.par.report import build_report, build_workload_entry, validate_report, write_report
+from repro.par.report import build_report, build_workload_entry, write_report
 from repro.par.sanitizer import sanitize
 from repro.par.shard import run_sharded
 from repro.pipeline.workloads import available_workloads, get_workload
@@ -91,13 +91,7 @@ def _cmd_classify(args) -> int:
                       f"({w['source']} -> {w['sink']}, "
                       f"direction {'/'.join(w['direction'])})")
     if args.json:
-        doc = build_report(entries, meta={"mode": "classify"})
-        problems = validate_report(doc)
-        if problems:
-            print("report failed self-validation:", *problems, sep="\n  ",
-                  file=sys.stderr)
-            return 2
-        write_report(args.json, doc)
+        write_report(args.json, build_report(entries, meta={"mode": "classify"}))
         print(f"report written to {args.json}")
     return 0
 
@@ -167,11 +161,6 @@ def _cmd_bench(args) -> int:
         entries, run=run,
         meta={"workloads": ",".join(names), "seed": args.seed},
     )
-    problems = validate_report(doc)
-    if problems:
-        print("report failed self-validation:", *problems, sep="\n  ",
-              file=sys.stderr)
-        return 2
     env = write_report(args.json, doc)
     print(f"report written to {args.json} ({env['digest'][:12]})")
     return 1 if conflicts else 0

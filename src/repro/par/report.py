@@ -1,4 +1,4 @@
-"""The ``repro.par/1`` report schema: build, validate, flatten, write.
+"""The ``repro.par/1`` report schema: build, shape, flatten, write.
 
 .. code-block:: text
 
@@ -23,9 +23,9 @@
 SERIAL witnesses, plus each workload's dynamic sanitizer outcome;
 ``totals`` aggregates the verdict and conflict counts; ``run`` is the
 optional sharded PARALLEL DO execution record (``python -m repro.par
-bench``).  :func:`validate_report` returns a problem list (empty =
-valid), the registered payload check for the schema;
-:func:`flatten_report` emits ``par:*`` perf metrics.  The **verdict and
+bench``).  :data:`SHAPE` and :func:`invariants` are the registered
+payload check for the schema; :func:`flatten_report` emits ``par:*``
+perf metrics.  The **verdict and
 conflict counts are deterministic** and belong behind a ``threshold 0``
 perf gate; ``par:run.speedup`` is machine-dependent (it needs more than
 one core to exceed 1) and is recorded for trend only — never gate it
@@ -34,12 +34,33 @@ one core to exceed 1) and is recorded for trend only — never gate it
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping, Optional
 
 from repro.artifacts import publish
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PAR_REPORT as SCHEMA
 from repro.par.detect import VERDICTS, LoopVerdict, verdict_counts
+
+
+_COUNTS = {"parallel": int, "reduction": int, "serial": int}
+
+#: the payload shape :func:`build_report` produces
+SHAPE = {
+    "meta": dict,
+    "workloads": [{
+        "workload": str,
+        "procedure": str,
+        "loops": [{"loop": str, "path": str, "verdict": VERDICTS,
+                   "reason": str}],
+        "counts": _COUNTS,
+        "sanitizer?": {"conflicts": list, "clean": bool},
+    }],
+    "totals": {**_COUNTS, "loops": int, "conflicts": int},
+    "run?": {"workload": str, "loop": str, "shards": int, "workers": int,
+             "iterations": int, "serial_s": float, "sharded_s": float,
+             "identical": bool},
+}
 
 
 def build_workload_entry(
@@ -58,140 +79,65 @@ def build_workload_entry(
     }
 
 
+def _totals(entries: list) -> dict:
+    """Verdict and sanitizer-conflict totals, counted from the loops."""
+    seen = Counter(loop["verdict"] for e in entries for loop in e["loops"])
+    totals = {v: seen[v] for v in VERDICTS}
+    totals["loops"] = sum(totals.values())
+    totals["conflicts"] = sum(len((e.get("sanitizer") or {}).get("conflicts", ()))
+                              for e in entries)
+    return totals
+
+
 def build_report(
     workloads: Iterable[Mapping],
     run: Optional[Mapping] = None,
     meta: Optional[dict] = None,
 ) -> dict:
     entries = [dict(w) for w in workloads]
-    totals = {v: 0 for v in VERDICTS}
-    conflicts = 0
-    for entry in entries:
-        for verdict, count in entry["counts"].items():
-            totals[verdict] += count
-        san = entry.get("sanitizer")
-        if san:
-            conflicts += len(san.get("conflicts", ()))
-    totals["loops"] = sum(totals[v] for v in VERDICTS)
-    totals["conflicts"] = conflicts
     return {
         "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "workloads": entries,
-        "totals": totals,
+        "totals": _totals(entries),
         "run": dict(run) if run is not None else None,
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a par-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
+def invariants(doc: dict) -> list[str]:
+    """What :data:`SHAPE` cannot say: the counts and totals match the
+    loops, serial loops name a witness, each sanitizer ``clean`` flag
+    agrees with its conflicts, and a sharded run reproduced serial."""
     errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if not isinstance(doc.get("meta"), dict):
-        errors.append("missing or non-object field 'meta'")
-    if not isinstance(doc.get("workloads"), list):
-        errors.append("missing or non-list field 'workloads'")
-    if not isinstance(doc.get("totals"), dict):
-        errors.append("missing or non-object field 'totals'")
-    if errors:
-        return errors
-    counted = {v: 0 for v in VERDICTS}
-    conflicts = 0
     for k, entry in enumerate(doc["workloads"]):
-        if not isinstance(entry, dict):
-            errors.append(f"workloads[{k}] is not an object")
-            continue
-        for key in ("workload", "procedure"):
-            if not isinstance(entry.get(key), str):
-                errors.append(f"workloads[{k}].{key} missing or non-string")
-        if not isinstance(entry.get("loops"), list):
-            errors.append(f"workloads[{k}].loops missing or non-list")
-            continue
+        got = _totals([entry])
+        for verdict in VERDICTS:
+            if entry["counts"][verdict] != got[verdict]:
+                errors.append(
+                    f"workloads[{k}].counts[{verdict!r}] is "
+                    f"{entry['counts'][verdict]!r}, loops contain {got[verdict]}"
+                )
         for j, loop in enumerate(entry["loops"]):
-            where = f"workloads[{k}].loops[{j}]"
-            if not isinstance(loop, dict):
-                errors.append(f"{where} is not an object")
-                continue
-            for key in ("loop", "path", "verdict", "reason"):
-                if not isinstance(loop.get(key), str):
-                    errors.append(f"{where}.{key} missing or non-string")
-            verdict = loop.get("verdict")
-            if verdict not in VERDICTS:
-                errors.append(f"{where} has unknown verdict {verdict!r}")
-            else:
-                counted[verdict] += 1
-            if verdict == "serial" and not loop.get("witness"):
-                errors.append(f"{where} is serial but names no witness")
-        counts = entry.get("counts")
-        if not isinstance(counts, dict):
-            errors.append(f"workloads[{k}].counts missing or non-object")
-        else:
-            got = {v: 0 for v in VERDICTS}
-            for loop in entry["loops"]:
-                if isinstance(loop, dict) and loop.get("verdict") in got:
-                    got[loop["verdict"]] += 1
-            for verdict in VERDICTS:
-                if counts.get(verdict) != got[verdict]:
-                    errors.append(
-                        f"workloads[{k}].counts[{verdict!r}] is "
-                        f"{counts.get(verdict)!r}, loops contain {got[verdict]}"
-                    )
+            if loop["verdict"] == "serial" and not loop.get("witness"):
+                errors.append(
+                    f"workloads[{k}].loops[{j}] is serial but names no witness"
+                )
         san = entry.get("sanitizer")
-        if san is not None:
-            if not isinstance(san, dict):
-                errors.append(f"workloads[{k}].sanitizer is not an object")
-            else:
-                cs = san.get("conflicts")
-                if not isinstance(cs, list):
-                    errors.append(
-                        f"workloads[{k}].sanitizer.conflicts missing or "
-                        "non-list"
-                    )
-                else:
-                    conflicts += len(cs)
-                    if san.get("clean") != (not cs):
-                        errors.append(
-                            f"workloads[{k}].sanitizer.clean contradicts its "
-                            "conflict list"
-                        )
-    # the load-bearing invariant: totals match the per-workload contents
-    totals = doc["totals"]
-    for verdict in VERDICTS:
-        if totals.get(verdict) != counted[verdict]:
+        if san is not None and san["clean"] != (not san["conflicts"]):
             errors.append(
-                f"totals[{verdict!r}] is {totals.get(verdict)!r}, workloads "
-                f"contain {counted[verdict]}"
+                f"workloads[{k}].sanitizer.clean contradicts its conflict list"
             )
-    want_loops = sum(counted.values())
-    if totals.get("loops") != want_loops:
-        errors.append(
-            f"totals['loops'] is {totals.get('loops')!r}, workloads contain "
-            f"{want_loops}"
-        )
-    if totals.get("conflicts") != conflicts:
-        errors.append(
-            f"totals['conflicts'] is {totals.get('conflicts')!r}, sanitizer "
-            f"sections contain {conflicts}"
-        )
+    # the load-bearing invariant: totals match the per-workload contents
+    for key, n in _totals(doc["workloads"]).items():
+        if doc["totals"][key] != n:
+            errors.append(
+                f"totals[{key!r}] is {doc['totals'][key]!r}, workloads "
+                f"contain {n}"
+            )
     run = doc.get("run")
-    if run is not None:
-        if not isinstance(run, dict):
-            errors.append("'run' is not an object")
-        else:
-            for key in ("workload", "loop"):
-                if not isinstance(run.get(key), str):
-                    errors.append(f"run.{key} missing or non-string")
-            for key in ("shards", "workers", "iterations"):
-                if not isinstance(run.get(key), int):
-                    errors.append(f"run.{key} missing or non-integer")
-            for key in ("serial_s", "sharded_s"):
-                if not isinstance(run.get(key), (int, float)):
-                    errors.append(f"run.{key} missing or non-numeric")
-            if run.get("identical") is not True:
-                errors.append("run.identical is not true — the sharded "
-                              "execution must be byte-identical to serial")
+    if run is not None and run["identical"] is not True:
+        errors.append("run.identical is not true — the sharded "
+                      "execution must be byte-identical to serial")
     return errors
 
 

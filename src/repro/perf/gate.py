@@ -48,12 +48,16 @@ from repro.artifacts import load_file, payload_of, publish, schema_id_of
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PERF_BASELINE as BASELINE_SCHEMA
 from repro.artifacts.registry import PERF_GATE as SCHEMA
+from repro.artifacts.shape import check
 from repro.errors import ArtifactError, PerfError
 
 EXIT_OK = 0
 EXIT_REGRESSED = 1
 EXIT_USAGE = 2
 EXIT_NO_BASELINE = 3
+
+#: per-metric verdicts a gate row can carry
+ROW_VERDICTS = ("regressed", "improved", "within-noise", "missing-baseline")
 
 _EXIT_OF = {
     "ok": EXIT_OK,
@@ -87,8 +91,7 @@ def compare(
     if threshold_pct < 0:
         raise PerfError("threshold_pct must be >= 0")
     rows = []
-    counts = {"regressed": 0, "improved": 0, "within-noise": 0,
-              "missing-baseline": 0}
+    counts = dict.fromkeys(ROW_VERDICTS, 0)
     for name in tracked(current, patterns):
         cur = current[name]
         base = baseline.get(name)
@@ -188,17 +191,10 @@ def read_baseline(path: str) -> dict:
         raise PerfError(
             f"baseline {path!r} is not a {BASELINE_SCHEMA!r} document"
         )
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        raise PerfError(f"baseline {path!r} has no metrics object")
-    out = {}
-    for name, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise PerfError(
-                f"baseline {path!r} metric {name!r} is not numeric"
-            )
-        out[name] = float(value)
-    return out
+    problems = check(doc, BASELINE_SHAPE)
+    if problems:
+        raise PerfError(f"baseline {path!r}: {'; '.join(problems)}")
+    return {name: float(v) for name, v in doc["metrics"].items()}
 
 
 def write_baseline(path: str, doc: dict) -> dict:
@@ -206,56 +202,33 @@ def write_baseline(path: str, doc: dict) -> dict:
     return publish(path, doc, producer=__package__)
 
 
-# ---- registered payload checks and flatteners ------------------------------
+# ---- registered payload shapes, invariants and flatteners -----------------
+
+#: the payload shape :func:`compare` produces
+SHAPE = {
+    "verdict": tuple(_EXIT_OF),
+    "exit_code": int,
+    "rows": [{"metric": str, "verdict": ROW_VERDICTS}],
+    "counts": {ROW_VERDICTS: int},
+}
+
+#: the payload shape :func:`baseline_doc` produces
+BASELINE_SHAPE = {"metrics": {str: float}}
 
 
-def validate_gate(doc: dict) -> list:
-    """Problems with a gate-verdict payload (empty list = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
+def invariants(doc: dict) -> list[str]:
+    """The exit code matches the verdict; the counts match the rows."""
     problems = []
-    verdict = doc.get("verdict")
-    if verdict not in _EXIT_OF:
+    want = _EXIT_OF[doc["verdict"]]
+    if doc["exit_code"] != want:
         problems.append(
-            f"verdict is {verdict!r}, want one of {', '.join(_EXIT_OF)}"
+            f"exit_code is {doc['exit_code']!r}, want {want} for verdict "
+            f"{doc['verdict']!r}"
         )
-    elif doc.get("exit_code") != _EXIT_OF[verdict]:
-        problems.append(
-            f"exit_code is {doc.get('exit_code')!r}, want "
-            f"{_EXIT_OF[verdict]} for verdict {verdict!r}"
-        )
-    rows = doc.get("rows")
-    if not isinstance(rows, list):
-        problems.append("rows missing or not a list")
-        return problems
-    counts = doc.get("counts")
-    if isinstance(counts, dict):
-        for key, want in counts.items():
-            got = sum(1 for r in rows
-                      if isinstance(r, dict) and r.get("verdict") == key)
-            if got != want:
-                problems.append(
-                    f"counts[{key!r}] is {want!r}, rows contain {got}"
-                )
-    else:
-        problems.append("counts missing or not an object")
-    return problems
-
-
-def validate_baseline(doc: dict) -> list:
-    """Problems with a baseline payload (empty list = valid) — the
-    registered payload check for :data:`BASELINE_SCHEMA`."""
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    problems = []
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("metrics missing or not an object")
-        return problems
-    for name, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"metric {name!r} is not numeric")
+    for key, count in doc["counts"].items():
+        got = sum(1 for r in doc["rows"] if r["verdict"] == key)
+        if got != count:
+            problems.append(f"counts[{key!r}] is {count!r}, rows contain {got}")
     return problems
 
 

@@ -3,7 +3,7 @@
 The run-history database stores **flat numeric metrics**, because a
 timeline only needs numbers with stable names.  The per-schema
 flatteners live with their subsystems and are registered next to each
-validator in :mod:`repro.artifacts.kinds` (``flatten`` hooks); this
+payload shape in :mod:`repro.artifacts.kinds` (``flatten`` hooks); this
 module is the perf-side adapter over that registry:
 
 - :func:`load_artifact` reads a JSON artifact file (enveloped or

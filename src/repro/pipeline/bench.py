@@ -59,6 +59,7 @@ from typing import Optional
 from repro.artifacts import publish
 from repro.artifacts.flatten import Sink, cache_stats
 from repro.artifacts.registry import PIPELINE_BENCH as SCHEMA
+from repro.artifacts.shape import check
 from repro.errors import CheckError
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
@@ -66,6 +67,16 @@ from repro.pipeline import derive
 from repro.pipeline.cache import AnalysisCache
 
 _MODES = ("inprocess", "pool")
+
+#: the payload shape :func:`run_bench` / :func:`run_bench_pool` produce;
+#: the mode-dependent legs are checked by :func:`invariants`
+SHAPE = {"mode": _MODES, "workloads": {str: dict}}
+_LEG = {"elapsed_s": float}
+_MODE_SHAPES = {
+    "inprocess": {"workloads": {str: {"cold": _LEG, "warm": _LEG}},
+                  "cache": dict},
+    "pool": {"workloads": {str: {"status": str}}, "pool": dict},
+}
 
 #: what to measure: (label, workload, pass list or None for the default
 #: pipeline, run under the repro.check gate).  Labels key the JSON.
@@ -190,38 +201,11 @@ def run_bench_pool(
         }
 
 
-def validate_bench(bench: dict) -> list:
-    """Problems with a bench payload (empty list = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    problems = []
-    mode = bench.get("mode")
-    if mode not in _MODES:
-        problems.append(f"mode is {mode!r}, want one of {', '.join(_MODES)}")
-    workloads = bench.get("workloads")
-    if not isinstance(workloads, dict) or not workloads:
-        problems.append("workloads missing, not an object, or empty")
-        return problems
-    for label, data in workloads.items():
-        if not isinstance(data, dict):
-            problems.append(f"workloads[{label!r}] is not an object")
-            continue
-        if mode == "pool":
-            if not isinstance(data.get("status"), str):
-                problems.append(f"workloads[{label!r}].status missing")
-        elif mode == "inprocess":
-            for leg in ("cold", "warm"):
-                run = data.get(leg)
-                if not isinstance(run, dict) or not isinstance(
-                    run.get("elapsed_s"), (int, float)
-                ):
-                    problems.append(
-                        f"workloads[{label!r}].{leg} missing elapsed_s"
-                    )
-    if mode == "inprocess" and not isinstance(bench.get("cache"), dict):
-        problems.append("cache block missing for an inprocess bench")
-    if mode == "pool" and not isinstance(bench.get("pool"), dict):
-        problems.append("pool block missing for a pool bench")
-    return problems
+def invariants(bench: dict) -> list[str]:
+    """A bench covers at least one workload, with the legs and blocks
+    its mode promises."""
+    problems = [] if bench["workloads"] else ["workloads: empty"]
+    return problems + check(bench, _MODE_SHAPES[bench["mode"]])
 
 
 def flatten_bench(bench: dict) -> dict:

@@ -44,7 +44,6 @@ from repro.serve.service import (
     SCHEMA,
     build_report,
     run_batch,
-    validate_report,
     write_report,
 )
 from repro.serve.store import SCHEMA_VERSION, ArtifactStore
@@ -60,6 +59,5 @@ __all__ = [
     "execute_job",
     "job_key",
     "run_batch",
-    "validate_report",
     "write_report",
 ]

@@ -38,12 +38,7 @@ from repro.errors import PipelineError, ReproError
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
 from repro.serve.jobs import JobSpec
-from repro.serve.service import (
-    build_store_ops,
-    run_batch,
-    validate_report,
-    write_report,
-)
+from repro.serve.service import build_store_ops, run_batch, write_report
 from repro.serve.store import ArtifactStore
 
 
@@ -245,15 +240,10 @@ def _run_jobs(args, specs: list[JobSpec]) -> int:
     else:
         report = go()
 
-    problems = validate_report(report)
-    if problems:  # self-check: never ship a malformed artifact
-        for problem in problems:
-            print(f"invalid report: {problem}", file=sys.stderr)
-        return 2
-    if args.out:
-        # land the report in the same store the batch ran against (the
-        # stats snapshot inside it predates this write, on purpose)
-        write_report(args.out, report, store=store)
+    # publish validates even without --out (exit 2 on a malformed report);
+    # with --out the report lands in the store the batch ran against (the
+    # stats snapshot inside it predates this write, on purpose)
+    write_report(args.out, report, store=store if args.out else None)
     _print_report(report)
     if args.out:
         print(f"report written to {args.out}")
@@ -274,20 +264,12 @@ def main(argv: Optional[list] = None) -> int:
             return _run_jobs(args, _specs_from_batch(args.specs))
         store = ArtifactStore(args.store_dir)
         if args.command == "stats":
-            # even the maintenance records ship enveloped: `--json`
-            # output is a repro.serve.store/1 document that `python -m
-            # repro.artifacts validate -` accepts
             doc = build_store_ops("stats", store)
-            if args.json:
-                print(json.dumps(publish(None, doc, producer=__package__),
-                                 indent=2))
-            else:
-                on_disk = doc["store"]
-                print(f"store at {on_disk['root']} "
-                      f"(schema v{on_disk['schema_version']}): "
-                      f"{on_disk['entries']} entries, {on_disk['bytes']} bytes")
-            return 0
-        if args.command == "gc":
+            on_disk = doc["store"]
+            line = (f"store at {on_disk['root']} "
+                    f"(schema v{on_disk['schema_version']}): "
+                    f"{on_disk['entries']} entries, {on_disk['bytes']} bytes")
+        elif args.command == "gc":
             if args.max_entries is None and args.max_age_s is None:
                 print("error: gc needs --max-entries and/or --max-age-s",
                       file=sys.stderr)
@@ -296,14 +278,17 @@ def main(argv: Optional[list] = None) -> int:
                 max_entries=args.max_entries, max_age_s=args.max_age_s
             )
             doc = build_store_ops("gc", store, gc=summary)
-            if args.json:
-                print(json.dumps(publish(None, doc, producer=__package__),
-                                 indent=2))
-            else:
-                print(f"gc: removed {summary['removed']}, "
-                      f"kept {summary['kept']}")
-            return 0
-        raise PipelineError(f"unknown command {args.command!r}")
+            line = f"gc: removed {summary['removed']}, kept {summary['kept']}"
+        else:
+            raise PipelineError(f"unknown command {args.command!r}")
+        # even the maintenance records ship enveloped: `--json` output
+        # is a repro.serve.store/1 document that `python -m
+        # repro.artifacts validate -` accepts
+        if args.json:
+            line = json.dumps(publish(None, doc, producer=__package__),
+                              indent=2)
+        print(line)
+        return 0
     except ReproError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

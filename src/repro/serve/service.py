@@ -39,25 +39,41 @@
 One row per *deduplicated* job: N identical submissions appear as a
 single row with ``submissions: N`` — the honest unit for a service
 whose whole point is never computing the same thing twice.
-``validate_report`` returns a list of problems (empty = valid), the
-idiom shared with ``repro.obs``/``repro.check``; the ``serve-smoke``
-CI job runs it over a real batch.  Reports are written enveloped (see
+:data:`SHAPE` and :func:`invariants` are the registered payload check,
+run by :func:`repro.artifacts.publish` on the way out; the
+``serve-smoke`` CI job re-checks a real batch with ``python -m
+repro.artifacts validate``.  Reports are written enveloped (see
 :mod:`repro.artifacts`).
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Optional, Sequence
 
 from repro.artifacts import publish
 from repro.artifacts.flatten import HIST_FIELDS, Sink
 from repro.artifacts.registry import SERVE_REPORT as SCHEMA
+from repro.artifacts.shape import HISTOGRAM
 from repro.obs import core as _obs
 from repro.obs.core import Histogram
 from repro.serve.jobs import JobSpec, result_fingerprint
 from repro.serve.pool import STATUSES, JobOutcome, WorkerPool
 from repro.serve.store import ArtifactStore
+
+
+#: the payload shape :func:`build_report` produces
+SHAPE = {
+    "meta": dict,
+    "jobs": [{"id": int, "kind": str, "status": STATUSES, "attempts": int,
+              "wall_s": float}],
+    "summary": {**dict.fromkeys(STATUSES, int), "total": int, "ok": int},
+    "pool": {"per_worker?": [{"worker": int, "jobs": int, "busy_s": float,
+                              "utilization?": float}]},
+    "latency": {"wall_s": HISTOGRAM, "queue_wait_s": HISTOGRAM},
+    "store": dict,
+}
 
 
 def run_batch(
@@ -104,10 +120,8 @@ def build_report(
     meta: Optional[dict] = None,
     include_results: bool = True,
 ) -> dict:
-    summary = {s: 0 for s in STATUSES}
     jobs = []
     for out in outcomes:
-        summary[out.status] += 1
         result = None
         if include_results and isinstance(out.value, dict):
             result = {k: v for k, v in out.value.items() if k != "ir"}
@@ -130,8 +144,6 @@ def build_report(
                 "result": result,
             }
         )
-    summary["total"] = len(jobs)
-    summary["ok"] = sum(summary[s] for s in ("hit", "computed", "retried"))
     pool_stats = pool.stats() if pool is not None else {}
     workers = pool_stats.get("workers", 0)
     pool_stats["elapsed_s"] = round(elapsed_s, 4)
@@ -148,12 +160,21 @@ def build_report(
         "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "jobs": jobs,
-        "summary": summary,
+        "summary": _summary(jobs),
         "pool": pool_stats,
         "latency": _latency(outcomes),
         "store": _store_stats(store, outcomes),
         "elapsed_s": round(elapsed_s, 4),
     }
+
+
+def _summary(jobs: list) -> dict:
+    """Job counts per status, plus ``total`` and ``ok``."""
+    seen = Counter(job["status"] for job in jobs)
+    summary = {s: seen[s] for s in STATUSES}
+    summary["total"] = len(jobs)
+    summary["ok"] = sum(summary[s] for s in ("hit", "computed", "retried"))
+    return summary
 
 
 def _latency(outcomes: Sequence[JobOutcome]) -> dict:
@@ -182,58 +203,19 @@ def _store_stats(
     return {"enabled": True, **stats}
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a serve-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
+def invariants(doc: dict) -> list[str]:
+    """What :data:`SHAPE` cannot say: the summary counts the job
+    statuses, and every failed or timed-out job says why."""
     errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    for key in ("meta", "summary", "pool", "latency", "store"):
-        if not isinstance(doc.get(key), dict):
-            errors.append(f"missing or non-object field {key!r}")
-    if isinstance(doc.get("latency"), dict):
-        for key in ("wall_s", "queue_wait_s"):
-            h = doc["latency"].get(key)
-            if not isinstance(h, dict):
-                errors.append(f"latency missing histogram {key!r}")
-                continue
-            missing = {"count", "mean", "p50", "p95", "p99"} - set(h)
-            if missing:
-                errors.append(f"latency[{key!r}] missing {sorted(missing)}")
-    if isinstance(doc.get("pool"), dict):
-        for i, entry in enumerate(doc["pool"].get("per_worker") or []):
-            missing = {"worker", "jobs", "busy_s", "utilization"} - set(entry)
-            if missing:
-                errors.append(
-                    f"pool.per_worker[{i}] missing {sorted(missing)}"
-                )
-    if not isinstance(doc.get("jobs"), list):
-        errors.append("missing or non-list field 'jobs'")
-        return errors
-    for i, job in enumerate(doc["jobs"]):
-        if not isinstance(job, dict):
-            errors.append(f"jobs[{i}] is not an object")
-            continue
-        for field in ("id", "kind", "status", "attempts", "wall_s"):
-            if field not in job:
-                errors.append(f"jobs[{i}] missing field {field!r}")
-        if job.get("status") not in STATUSES:
-            errors.append(f"jobs[{i}] has unknown status {job.get('status')!r}")
-        if job.get("status") in ("timeout", "failed") and not job.get("error"):
+    jobs = doc["jobs"]
+    for i, job in enumerate(jobs):
+        if job["status"] in ("timeout", "failed") and not job.get("error"):
             errors.append(f"jobs[{i}] is {job['status']} but carries no error")
-    if isinstance(doc.get("summary"), dict):
-        total = doc["summary"].get("total")
-        if total != len(doc["jobs"]):
+    for key, want in _summary(jobs).items():
+        if doc["summary"][key] != want:
             errors.append(
-                f"summary.total is {total!r}, want {len(doc['jobs'])}"
+                f"summary[{key!r}] is {doc['summary'][key]!r}, want {want}"
             )
-        for status in STATUSES:
-            want = sum(1 for j in doc["jobs"] if j.get("status") == status)
-            if doc["summary"].get(status) != want:
-                errors.append(
-                    f"summary[{status!r}] is {doc['summary'].get(status)!r}, "
-                    f"want {want}"
-                )
     return errors
 
 
@@ -272,6 +254,13 @@ def write_report(path: str, doc: dict, store=None, request=None) -> dict:
 #: operations a ``repro.serve.store/1`` record can describe
 STORE_OPS = ("stats", "gc")
 
+#: the payload shape :func:`build_store_ops` produces
+STORE_OPS_SHAPE = {
+    "op": STORE_OPS,
+    "store": {"root": str, "entries": int, "bytes": int},
+    "gc?": {"removed": int, "kept": int},
+}
+
 
 def build_store_ops(op: str, store: ArtifactStore,
                     gc: Optional[dict] = None) -> dict:
@@ -293,33 +282,11 @@ def build_store_ops(op: str, store: ArtifactStore,
     }
 
 
-def validate_store_ops(doc: dict) -> list[str]:
-    """Problems with a store-maintenance payload (empty = valid) — the
-    registered payload check for ``repro.serve.store/1``."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    op = doc.get("op")
-    if op not in STORE_OPS:
-        errors.append(f"unknown op {op!r} (want one of {STORE_OPS})")
-    store = doc.get("store")
-    if not isinstance(store, dict):
-        errors.append("missing or non-object field 'store'")
-    else:
-        for key in ("root", "entries", "bytes"):
-            if key not in store:
-                errors.append(f"store missing field {key!r}")
-        for key in ("entries", "bytes"):
-            if key in store and not isinstance(store[key], int):
-                errors.append(f"store.{key} is not an integer")
-    gc = doc.get("gc")
-    if op == "gc" and not isinstance(gc, dict):
-        errors.append("op is 'gc' but field 'gc' is missing or non-object")
-    if isinstance(gc, dict):
-        for key in ("removed", "kept"):
-            if not isinstance(gc.get(key), int):
-                errors.append(f"gc.{key} missing or non-integer")
-    return errors
+def store_ops_invariants(doc: dict) -> list[str]:
+    """A ``gc`` record must carry its outcome."""
+    if doc["op"] == "gc" and doc.get("gc") is None:
+        return ["gc: missing (op is 'gc')"]
+    return []
 
 
 def flatten_store_ops(doc: dict) -> dict:

@@ -50,6 +50,20 @@ class TestBuiltinKinds:
             kind = registry.get(schema_id)
             assert callable(kind.validate_payload), schema_id
 
+    def test_every_kind_declares_a_shape(self):
+        for schema_id in registry.known_ids():
+            assert isinstance(registry.get(schema_id).shape, dict), schema_id
+
+    def test_invariants_run_only_after_the_shape_passes(self):
+        kind = registry.get(PAR_REPORT)
+        # totals that cannot add up are not reported while the shape
+        # itself is broken: invariants may index without guards
+        assert kind.validate_payload({"workloads": 3}) == [
+            "meta: missing",
+            "workloads: expected list, got integer",
+            "totals: missing",
+        ]
+
     def test_flatten_hooks_resolve_where_registered(self):
         # snapshots and gate verdicts have no perf timeline; all other
         # kinds must be ingestible by ``repro.perf record``

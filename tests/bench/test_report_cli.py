@@ -113,8 +113,8 @@ class TestObsFlag:
     def test_obs_writes_valid_metrics(self, patched_builders, tmp_path, capsys):
         import json
 
-        from repro.artifacts import is_envelope, payload_of
-        from repro.obs.export import validate_metrics
+        from repro.artifacts import is_envelope, payload_of, registry
+        from repro.artifacts.registry import OBS_METRICS
 
         patched_builders([("only", lambda: fake_table("Only"))])
         out_md = tmp_path / "exp.md"
@@ -124,5 +124,5 @@ class TestObsFlag:
         env = json.loads(obs_path.read_text())
         assert is_envelope(env)
         doc = payload_of(env)
-        assert validate_metrics(doc) == []
+        assert registry.get(OBS_METRICS).validate_payload(doc) == []
         assert doc["meta"]["tool"] == "repro.bench.report"

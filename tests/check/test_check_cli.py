@@ -2,9 +2,11 @@
 
 import json
 
-from repro.artifacts import payload_of
+from repro.artifacts import payload_of, registry
+from repro.artifacts.registry import CHECK_REPORT
 from repro.check.cli import main
-from repro.check.report import validate_report
+
+validate_report = registry.get(CHECK_REPORT).validate_payload
 
 
 def test_rules_listing(capsys):
@@ -26,6 +28,23 @@ def test_no_workload_is_usage_error(capsys):
 
 def test_unknown_workload_is_usage_error(capsys):
     assert main(["nonesuch"]) == 2
+
+
+def test_self_invalid_report_exits_2_unwritten(tmp_path, capsys, monkeypatch):
+    from repro.check import cli
+
+    build = cli.build_report
+
+    def lying_build(*args, **kwargs):
+        doc = build(*args, **kwargs)
+        doc["summary"]["info"] += 1
+        return doc
+
+    monkeypatch.setattr(cli, "build_report", lying_build)
+    path = tmp_path / "report.json"
+    assert main(["conv", "--json", str(path)]) == 2
+    assert not path.exists()
+    assert "summary['info'] is" in capsys.readouterr().err
 
 
 def test_lu_nopivot_clean_with_report(tmp_path, capsys):

@@ -3,11 +3,13 @@ validator must catch tampered documents."""
 
 import json
 
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.artifacts import is_envelope, payload_of, registry, validate_document
 from repro.artifacts.validate import RULE_STALE_VERSION
-from repro.check import SCHEMA, build_report, validate_report, write_report
+from repro.check import SCHEMA, build_report, write_report
 from repro.check.diagnostics import diag
 from repro.check.linter import LintResult
+
+validate_report = registry.get(SCHEMA).validate_payload
 
 
 def sample_report():

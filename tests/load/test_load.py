@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.artifacts import envelope, validate_document
+from repro.artifacts import envelope, registry, validate_document
 from repro.artifacts.registry import SERVE_LOAD
 from repro.daemon import Daemon, DaemonConfig
 from repro.errors import LoadError
 from repro.load.gen import BUILTIN_GRIDS, _schedule, check_grid, run_grid
-from repro.load.report import analyze, flatten_report, validate_report
+from repro.load.report import analyze, flatten_report
 from repro.obs.core import Histogram
+
+validate_report = registry.get(SERVE_LOAD).validate_payload
 
 
 class TestGrid:

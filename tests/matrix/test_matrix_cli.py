@@ -6,9 +6,11 @@ import json
 
 import pytest
 
-from repro.artifacts import is_envelope, payload_of
+from repro.artifacts import is_envelope, payload_of, registry
 from repro.matrix.cli import main
-from repro.matrix.report import SCHEMA, validate_report
+from repro.matrix.report import SCHEMA
+
+validate_report = registry.get(SCHEMA).validate_payload
 
 GRID = ["--factor", "workload=matmul", "--factor", "b=2,4",
         "--factor", "cache_kb=1,2", "--factor", "n=8"]

@@ -6,10 +6,12 @@ import json
 
 import pytest
 
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.artifacts import is_envelope, payload_of, registry, validate_document
 from repro.artifacts.validate import RULE_STALE_VERSION
 from repro.obs import core, export
 from repro.obs.cli import main
+
+validate_metrics = registry.get(export.SCHEMA).validate_payload
 
 
 class TestChromeTrace:
@@ -40,7 +42,7 @@ class TestChromeTrace:
 class TestValidateMetrics:
     def test_minimal_valid_doc(self):
         doc = export.metrics(core.Obs())
-        assert export.validate_metrics(doc) == []
+        assert validate_metrics(doc) == []
 
     def test_wrong_schema_rejected(self):
         # schema identity is the envelope layer's job now
@@ -52,7 +54,7 @@ class TestValidateMetrics:
     def test_non_integer_counter_rejected(self):
         doc = export.metrics(core.Obs())
         doc["counters"]["bad"] = 1.5
-        assert any("bad" in e for e in export.validate_metrics(doc))
+        assert any("bad" in e for e in validate_metrics(doc))
 
     def test_attribution_sum_mismatch_rejected(self):
         o = core.Obs()
@@ -71,7 +73,7 @@ class TestValidateMetrics:
             "totals": {"accesses": 2, "misses": 0, "writebacks": 0,
                        "tlb_misses": 0, "writes": 0},  # misses disagree
         }
-        errors = export.validate_metrics(doc)
+        errors = validate_metrics(doc)
         assert any("misses" in e for e in errors)
 
     def test_machine_cache_mismatch_rejected(self):
@@ -85,7 +87,7 @@ class TestValidateMetrics:
             "totals": {"accesses": 9, "misses": 3, "writebacks": 0,
                        "tlb_misses": 0, "writes": 0},
         }
-        errors = export.validate_metrics(doc)
+        errors = validate_metrics(doc)
         assert any("machine cache accesses" in e for e in errors)
 
 
@@ -113,7 +115,7 @@ class TestCliEndToEnd:
         env = json.loads(metrics_path.read_text())
         assert is_envelope(env) and validate_document(env) == []
         doc = payload_of(env)
-        assert export.validate_metrics(doc) == []
+        assert validate_metrics(doc) == []
         assert doc["meta"]["workload"] == "conv"
         # the acceptance invariant, re-checked from the written artifact
         totals = doc["attribution"]["totals"]

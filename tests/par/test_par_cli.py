@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 from repro.artifacts import payload_of, validate_document
+from repro.artifacts.validate import RULE_PAYLOAD
+from repro.par import cli
 from repro.par.cli import main
 
 
@@ -32,6 +34,22 @@ class TestClassify:
 
     def test_no_workloads_is_usage_error(self, capsys):
         assert main(["classify"]) == 2
+
+    def test_self_invalid_report_exits_2_unwritten(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        build = cli.build_report
+
+        def lying_build(*args, **kwargs):
+            doc = build(*args, **kwargs)
+            doc["totals"]["loops"] += 1
+            return doc
+
+        monkeypatch.setattr(cli, "build_report", lying_build)
+        path = tmp_path / "classify.json"
+        assert main(["classify", "matmul", "--json", str(path)]) == 2
+        assert not path.exists()
+        assert f"{RULE_PAYLOAD}: totals['loops']" in capsys.readouterr().err
 
 
 class TestSanitize:

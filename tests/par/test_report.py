@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from repro.artifacts import payload_of, validate_document
+from repro.artifacts import payload_of, registry, validate_document
 from repro.artifacts.registry import PAR_REPORT
 from repro.par.detect import classify_procedure
 from repro.par.report import (
     build_report,
     build_workload_entry,
     flatten_report,
-    validate_report,
     write_report,
 )
 from repro.pipeline.workloads import get_workload
+
+validate_report = registry.get(PAR_REPORT).validate_payload
 
 
 def sample_report(sanitizer=True):
@@ -47,7 +48,10 @@ class TestBuildAndValidate:
     def test_unknown_verdict_rejected(self):
         doc = sample_report()
         doc["workloads"][0]["loops"][0]["verdict"] = "vectorized"
-        assert any("unknown verdict" in e for e in validate_report(doc))
+        assert any(
+            e.startswith("workloads[0].loops[0].verdict: unknown value")
+            for e in validate_report(doc)
+        )
 
     def test_serial_without_witness_rejected(self):
         w = get_workload("lu_nopivot")

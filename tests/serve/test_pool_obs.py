@@ -8,10 +8,13 @@ parent's so nothing a worker counted is lost.
 
 from __future__ import annotations
 
+from repro.artifacts import registry
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
 from repro.serve.jobs import JobSpec
-from repro.serve.service import run_batch, validate_report
+from repro.serve.service import SCHEMA, run_batch
+
+validate_report = registry.get(SCHEMA).validate_payload
 
 SPECS = [
     JobSpec(kind="derive", workload="matmul", timeout_s=120.0),

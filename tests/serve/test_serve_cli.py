@@ -6,11 +6,12 @@ import json
 
 import pytest
 
-from repro.artifacts import is_envelope, payload_of, validate_document
-from repro.artifacts.registry import OBS_METRICS, SERVE_STORE
+from repro.artifacts import is_envelope, payload_of, registry, validate_document
+from repro.artifacts.registry import OBS_METRICS, SERVE_REPORT, SERVE_STORE
 from repro.serve.cli import main
-from repro.serve.service import validate_report
 from repro.serve.store import ArtifactStore
+
+validate_report = registry.get(SERVE_REPORT).validate_payload
 
 
 @pytest.fixture
@@ -49,6 +50,21 @@ class TestSubmit:
         assert main(["submit", "no_such_workload",
                      "--store-dir", store_dir]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_self_invalid_report_exits_2_without_out(
+        self, store_dir, capsys, monkeypatch
+    ):
+        from repro.serve import cli
+        from repro.serve.service import build_report
+
+        def lying_batch(*args, **kwargs):
+            doc = build_report([])
+            doc["summary"]["total"] = 1
+            return doc
+
+        monkeypatch.setattr(cli, "run_batch", lying_batch)
+        assert submit(store_dir, "--no-store") == 2
+        assert "summary['total'] is 1, want 0" in capsys.readouterr().err
 
     def test_obs_profile_written(self, store_dir, tmp_path):
         obs_path = tmp_path / "obs.json"

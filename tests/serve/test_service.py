@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import json
 
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.artifacts import is_envelope, payload_of, registry, validate_document
 from repro.artifacts.validate import RULE_STALE_VERSION
 from repro.obs import core as obs_core
 from repro.serve.jobs import JobSpec
-from repro.serve.service import (
-    SCHEMA,
-    run_batch,
-    validate_report,
-    write_report,
-)
+from repro.serve.service import SCHEMA, run_batch, write_report
 from repro.serve.store import ArtifactStore
+
+validate_report = registry.get(SCHEMA).validate_payload
 
 
 def probe(**options) -> JobSpec:
@@ -115,7 +112,7 @@ class TestValidateReport:
         assert validate_report(self.good()) == []
 
     def test_rejects_non_objects(self):
-        assert validate_report([]) == ["document is not an object"]
+        assert validate_report([]) == ["document: expected object, got list"]
 
     def test_rejects_wrong_schema(self):
         # schema identity is the envelope layer's job now
@@ -129,13 +126,14 @@ class TestValidateReport:
         del doc["pool"]
         del doc["jobs"]
         problems = validate_report(doc)
-        assert any("'pool'" in p for p in problems)
-        assert any("'jobs'" in p for p in problems)
+        assert "pool: missing" in problems
+        assert "jobs: missing" in problems
 
     def test_rejects_unknown_status(self):
         doc = self.good()
         doc["jobs"][0]["status"] = "vanished"
-        assert any("unknown status" in p for p in validate_report(doc))
+        assert any(p.startswith("jobs[0].status: unknown value 'vanished'")
+                   for p in validate_report(doc))
 
     def test_rejects_failure_without_error(self):
         doc = self.good()
@@ -149,13 +147,13 @@ class TestValidateReport:
         doc["summary"]["computed"] = 5
         doc["summary"]["total"] = 9
         problems = validate_report(doc)
-        assert any("summary.total" in p for p in problems)
+        assert any(p.startswith("summary['total'] is 9") for p in problems)
         assert any("'computed'" in p for p in problems)
 
     def test_rejects_missing_job_fields(self):
         doc = self.good()
         del doc["jobs"][0]["wall_s"]
-        assert any("missing field 'wall_s'" in p for p in validate_report(doc))
+        assert "jobs[0].wall_s: missing" in validate_report(doc)
 
 
 def test_write_report_roundtrips(tmp_path):
