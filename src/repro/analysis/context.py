@@ -37,17 +37,18 @@ def _strip_mod_terms(e):
     return e
 
 
-def add_loop_facts(ctx: Assumptions, loop: Loop) -> None:
-    """Record ``lo <= loop.var <= hi`` (arm-wise through MAX/MIN)."""
+def add_loop_facts(ctx: Assumptions, loop: Loop) -> Assumptions:
+    """``ctx`` plus ``lo <= loop.var <= hi`` (arm-wise through MAX/MIN)."""
     lows = loop.lo.args if isinstance(loop.lo, Max) else (loop.lo,)
     for arm in lows:
         arm = _strip_mod_terms(arm)
         if to_affine(arm) is not None:
-            ctx.assume_ge(loop.var, arm)
+            ctx = ctx.assume_ge(loop.var, arm)
     highs = loop.hi.args if isinstance(loop.hi, Min) else (loop.hi,)
     for arm in highs:
         if to_affine(arm) is not None:
-            ctx.assume_le(loop.var, arm)
+            ctx = ctx.assume_le(loop.var, arm)
+    return ctx
 
 
 def context_for_loops(
@@ -63,10 +64,10 @@ def context_for_loops(
     must use :func:`context_for_path` instead; this remains for
     self-contained nests and tests.
     """
-    ctx = base.copy() if base is not None else Assumptions()
+    ctx = base or Assumptions()
     for s in walk_stmts(root):
         if isinstance(s, Loop):
-            add_loop_facts(ctx, s)
+            ctx = add_loop_facts(ctx, s)
     return ctx
 
 
@@ -83,7 +84,7 @@ def context_for_path(
     """
     from repro.ir.visit import loop_path
 
-    ctx = base.copy() if base is not None else Assumptions()
+    ctx = base or Assumptions()
     for l in loop_path(root, target):
-        add_loop_facts(ctx, l)
+        ctx = add_loop_facts(ctx, l)
     return ctx

@@ -110,7 +110,19 @@ class DependenceGraph:
     ):
         self.root = root
         self.ctx = ctx or Assumptions()
-        self.deps: list[Dependence] = all_dependences(root, self.ctx, include_input)
+        self.include_input = include_input
+        self._deps: Optional[list[Dependence]] = None
+        # (id(loop), id(drop_dep)) -> (loop, drop_dep, graph); the entry
+        # pins both objects so their ids stay valid while it lives
+        self._graphs: dict[tuple[int, int], tuple] = {}
+
+    @property
+    def deps(self) -> list[Dependence]:
+        """Every dependence of the region, computed on first use
+        (distribution reads only the loop-relative view)."""
+        if self._deps is None:
+            self._deps = all_dependences(self.root, self.ctx, self.include_input)
+        return self._deps
 
     # ------------------------------------------------------------------
     def deps_on_array(self, array: str) -> list[Dependence]:
@@ -166,7 +178,16 @@ class DependenceGraph:
 
         ``drop_dep``: optional predicate; dependences it accepts are left
         out of the graph — the hook through which Sec. 5.2's commutativity
-        knowledge ignores the row-interchange/column-update recurrence."""
+        knowledge ignores the row-interchange/column-update recurrence.
+
+        Built once per (loop, drop_dep) pair and shared by every query of
+        this graph; callers must not mutate the result."""
+        key = (id(loop), id(drop_dep))
+        if key not in self._graphs:
+            self._graphs[key] = (loop, drop_dep, self._build_statement_graph(loop, drop_dep))
+        return self._graphs[key][2]
+
+    def _build_statement_graph(self, loop: Loop, drop_dep) -> nx.MultiDiGraph:
         g = nx.MultiDiGraph()
         body = loop.body
         for k, s in enumerate(body):

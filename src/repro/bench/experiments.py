@@ -78,7 +78,7 @@ def derived_block_lu() -> Procedure:
 
 @functools.lru_cache(maxsize=None)
 def derived_block_lu_pivot() -> Procedure:
-    """Fig. 8, derived with commutativity knowledge (slow: ~1 min)."""
+    """Fig. 8, derived with commutativity knowledge (the slowest derivation)."""
     from repro.blockability import Verdict, classify
 
     res = classify(lu_pivot_point_ir(), "K", "KS", ctx=Assumptions().assume_ge("N", 2))

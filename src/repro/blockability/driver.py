@@ -93,7 +93,7 @@ def classify(
     position for the blocking to count (block LU needs the trailing-update
     nest blocked; the panel legitimately stays point).
     """
-    base_ctx = ctx.copy() if ctx is not None else Assumptions()
+    base_ctx = ctx or Assumptions()
 
     def attempt(commutativity: bool):
         # string/int factors memoize in the pass cache; Expr factors

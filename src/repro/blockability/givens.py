@@ -44,7 +44,7 @@ def optimize_givens(
     log: Optional[list[str]] = None,
 ) -> Procedure:
     """Derive the Fig. 10 structure from the Fig. 9 point algorithm."""
-    base = ctx.copy() if ctx is not None else Assumptions()
+    base = ctx or Assumptions()
     steps = log if log is not None else []
 
     j_loop = loop_by_var(proc.body, "J")

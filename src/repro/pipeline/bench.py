@@ -4,12 +4,12 @@ Two modes over one workload set (:data:`BENCH_WORKLOADS` — the paper's
 derivations plus recipe/checked variants, sized so the set parallelizes
 meaningfully):
 
-- **classic** (default): runs every entry twice in-process against one
-  shared analysis cache — a **cold** pass that pays for every
+- **classic** (default): runs every entry twice in-process against a
+  fresh analysis cache of its own — a **cold** pass that pays for every
   dependence / Fourier–Motzkin / section query, then a **warm** pass
   that replays from the cache — and writes ``BENCH_pipeline.json`` with
-  per-pass wall times and per-region hit rates.  Future PRs diff this
-  file to see whether the analysis hot path moved.
+  per-pass wall times and per-region hit rates summed over the entries.
+  Future PRs diff this file to see whether the analysis hot path moved.
 - **pool** (``--jobs N``): routes every entry as a ``derive`` job
   through the :mod:`repro.serve` worker pool against the persistent
   artifact store, so the suite spreads across cores and a warm
@@ -113,12 +113,18 @@ def _run(name: str, passes, cache: AnalysisCache, check: bool = False) -> dict:
 
 
 def run_bench(check: bool = False) -> dict:
-    cache = AnalysisCache()
     workloads = {}
+    totals = {r: dict.fromkeys(("hits", "misses", "entries", "evictions"), 0)
+              for r in AnalysisCache.REGIONS}
     for label, name, passes, entry_check in BENCH_WORKLOADS:
         checked = check or entry_check
+        # a fresh cache per workload, so no earlier entry warms the cold leg
+        cache = AnalysisCache()
         cold = _run(name, passes, cache, check=checked)
         warm = _run(name, passes, cache, check=checked)
+        for region, st in cache.stats().items():
+            for k in totals[region]:
+                totals[region][k] += st[k]
         workloads[label] = {
             "workload": name,
             "passes": [s["pass"] for s in cold["spans"]],
@@ -134,8 +140,13 @@ def run_bench(check: bool = False) -> dict:
         "schema": SCHEMA,
         "mode": "inprocess",
         "workloads": workloads,
-        "cache": cache.stats(),
+        "cache": {r: {**st, "hit_rate": _rate(st)} for r, st in totals.items()},
     }
+
+
+def _rate(st: dict) -> float:
+    seen = st["hits"] + st["misses"]
+    return st["hits"] / seen if seen else 0.0
 
 
 def run_bench_pool(

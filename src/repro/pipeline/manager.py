@@ -162,7 +162,7 @@ class PassManager:
     # -----------------------------------------------------------------
     def run(self, proc: Procedure) -> PipelineResult:
         t_start = time.perf_counter()
-        ctx = self.ctx.copy()
+        ctx = self.ctx
         spans: list[SpanRecord] = []
         current = proc
         stopped = False
@@ -298,9 +298,9 @@ class PassManager:
                 # context facts apply on hits and misses alike
                 for kind, left, right in ctx_facts:
                     if kind == "ge":
-                        ctx.assume_ge(left, right)
+                        ctx = ctx.assume_ge(left, right)
                     elif kind == "le":
-                        ctx.assume_le(left, right)
+                        ctx = ctx.assume_le(left, right)
                     else:  # pragma: no cover - passes only emit ge/le
                         raise PipelineError(f"unknown ctx fact kind {kind!r}")
 

@@ -502,12 +502,11 @@ def _block_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
         from repro.blockability.driver import commutativity_oracle
 
         ignore_dep = commutativity_oracle
-    local = ctx.copy()  # block_loop grows its ctx; keep the manager's copy clean
     new, report = block_loop(
         proc,
         var,
         factor,
-        ctx=local,
+        ctx=ctx,
         ignore_dep=ignore_dep,
         max_rounds=int(options.get("max_rounds", 64)),
         max_splits=int(options.get("max_splits", 6)),

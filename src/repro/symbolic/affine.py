@@ -29,15 +29,25 @@ from repro.ir.expr import (
 Rat = Union[int, Fraction]
 
 
+def _q(x) -> Rat:
+    """Canonical rational: an ``int``, or a ``Fraction`` with denominator > 1."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Affine:
     """Immutable affine form: ``const + Σ coeffs[v]·v``.
 
-    ``coeffs`` never stores zero coefficients; equality is exact.
+    ``coeffs`` never stores zero coefficients; equality is exact.  Values
+    are canonical (:func:`_q`), so integer forms never pay for ``Fraction``.
     """
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction
+    coeffs: tuple[tuple[str, Rat], ...]
+    const: Rat
 
     # ---- construction ---------------------------------------------------
     @staticmethod
@@ -45,25 +55,25 @@ class Affine:
         items = []
         if coeffs:
             for name in sorted(coeffs):
-                c = Fraction(coeffs[name])
+                c = _q(coeffs[name])
                 if c != 0:
                     items.append((name, c))
-        return Affine(tuple(items), Fraction(const))
+        return Affine(tuple(items), _q(const))
 
     @staticmethod
     def constant(value: Rat) -> "Affine":
-        return Affine((), Fraction(value))
+        return Affine((), _q(value))
 
     @staticmethod
     def variable(name: str) -> "Affine":
-        return Affine(((name, Fraction(1)),), Fraction(0))
+        return Affine(((name, 1),), 0)
 
     # ---- inspection ------------------------------------------------------
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> Rat:
         for n, c in self.coeffs:
             if n == name:
                 return c
-        return Fraction(0)
+        return 0
 
     @property
     def variables(self) -> frozenset[str]:
@@ -73,41 +83,43 @@ class Affine:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[Rat]:
         return self.const if self.is_constant else None
 
     def is_integral(self) -> bool:
         """True when all coefficients and the constant are integers."""
-        return self.const.denominator == 1 and all(c.denominator == 1 for _, c in self.coeffs)
+        return type(self.const) is int and all(type(c) is int for _, c in self.coeffs)
 
     # ---- arithmetic ------------------------------------------------------
-    def _as_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
     def __add__(self, other: "Affine | Rat") -> "Affine":
-        if isinstance(other, (int, Fraction)):
-            return Affine(self.coeffs, self.const + other)
-        d = self._as_dict()
+        if not isinstance(other, Affine):
+            return Affine(self.coeffs, _q(self.const + other))
+        if not other.coeffs:
+            return Affine(self.coeffs, _q(self.const + other.const))
+        d = dict(self.coeffs)
         for n, c in other.coeffs:
-            d[n] = d.get(n, Fraction(0)) + c
-        return Affine.make(d, self.const + other.const)
+            d[n] = _q(d.get(n, 0) + c)
+        items = tuple((n, d[n]) for n in sorted(d) if d[n] != 0)
+        return Affine(items, _q(self.const + other.const))
 
     def __radd__(self, other: Rat) -> "Affine":
         return self + other
 
     def __sub__(self, other: "Affine | Rat") -> "Affine":
-        if isinstance(other, (int, Fraction)):
-            return Affine(self.coeffs, self.const - other)
+        if not isinstance(other, Affine):
+            return Affine(self.coeffs, _q(self.const - other))
         return self + (other * -1)
 
     def __rsub__(self, other: Rat) -> "Affine":
         return (self * -1) + other
 
     def __mul__(self, k: Rat) -> "Affine":
-        k = Fraction(k)
+        k = _q(k)
+        if k == 1:
+            return self
         if k == 0:
-            return Affine.constant(0)
-        return Affine(tuple((n, c * k) for n, c in self.coeffs), self.const * k)
+            return Affine((), 0)
+        return Affine(tuple((n, _q(c * k)) for n, c in self.coeffs), _q(self.const * k))
 
     def __rmul__(self, k: Rat) -> "Affine":
         return self * k
@@ -122,15 +134,15 @@ class Affine:
             if n in mapping:
                 out = out + mapping[n] * c
             else:
-                out = out + Affine.make({n: c})
+                out = out + Affine(((n, c),), 0)
         return out
 
-    def eval(self, env: Mapping[str, Rat]) -> Fraction:
+    def eval(self, env: Mapping[str, Rat]) -> Rat:
         """Evaluate with every variable bound (KeyError otherwise)."""
         total = self.const
         for n, c in self.coeffs:
-            total += c * Fraction(env[n])
-        return total
+            total += c * _q(env[n])
+        return _q(total)
 
     def __repr__(self) -> str:
         parts = []
@@ -179,11 +191,9 @@ def to_affine(e: Expr) -> Optional[Affine]:
         if l is None or r is None:
             return None
         rc = r.constant_value()
-        if rc is None or rc == 0:
+        if rc is None or rc == 0 or type(rc) is not int:
             return None
-        q = l * Fraction(1, 1) * Fraction(1, int(rc)) if rc.denominator == 1 else None
-        if q is None:
-            return None
+        q = l * Fraction(1, rc)
         return q if q.is_integral() else None
     return None
 
@@ -196,21 +206,18 @@ def from_affine(a: Affine) -> Expr:
     """
     if not a.is_integral():
         raise ValueError(f"cannot render non-integral affine form {a!r}")
-    expr: Expr = Const(int(a.const)) if not a.coeffs else None  # type: ignore[assignment]
     terms: list[Expr] = []
     for n, c in a.coeffs:
-        ci = int(c)
-        terms.append(Var(n) if ci == 1 else e_mul(Const(ci), Var(n)))
+        terms.append(Var(n) if c == 1 else e_mul(Const(c), Var(n)))
     if not terms:
-        return Const(int(a.const))
+        return Const(a.const)
     out = terms[0]
     for t in terms[1:]:
         out = e_add(out, t)
-    ci = int(a.const)
-    if ci > 0:
-        out = e_add(out, Const(ci))
-    elif ci < 0:
-        out = e_sub(out, Const(-ci))
+    if a.const > 0:
+        out = e_add(out, Const(a.const))
+    elif a.const < 0:
+        out = e_sub(out, Const(-a.const))
     return out
 
 

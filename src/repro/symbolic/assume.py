@@ -22,32 +22,30 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from repro.ir.expr import Expr
-from repro.symbolic.affine import Affine, to_affine
+from repro.symbolic.affine import Affine, Rat, to_affine
 
 _MAX_DEPTH = 5
 
 
 class Assumptions:
-    """A conjunction of affine inequalities usable as a decision context.
+    """An immutable conjunction of affine inequalities usable as a
+    decision context.
 
-    Facts are added with :meth:`assume_ge` / :meth:`assume_le` /
-    :meth:`assume_range`; arbitrary affine facts ``aff >= 0`` that mention
+    :meth:`assume_ge` / :meth:`assume_le` / :meth:`assume_range` return a
+    *new* context; arbitrary affine facts ``aff >= 0`` that mention
     several variables are stored as bounds on each mentioned variable
     (``c·v >= -rest`` ⇒ a bound on ``v``), which the recursive substitution
-    can then chain through.
+    can then chain through.  Facts never change, so bound answers are
+    memoized per instance.
     """
 
     def __init__(self) -> None:
-        self._lo: dict[str, list[Affine]] = {}
-        self._hi: dict[str, list[Affine]] = {}
+        self._lo: dict[str, tuple[Affine, ...]] = {}
+        self._hi: dict[str, tuple[Affine, ...]] = {}
+        self._bounds: dict[tuple[Affine, bool], Optional[Rat]] = {}
+        self._key: Optional[tuple] = None
 
     # ---- building the context -------------------------------------------
-    def copy(self) -> "Assumptions":
-        out = Assumptions()
-        out._lo = {k: list(v) for k, v in self._lo.items()}
-        out._hi = {k: list(v) for k, v in self._hi.items()}
-        return out
-
     def _coerce(self, e) -> Optional[Affine]:
         if isinstance(e, Affine):
             return e
@@ -60,43 +58,43 @@ class Assumptions:
         return None
 
     def assume_ge(self, left, right) -> "Assumptions":
-        """Record the fact ``left >= right``. Returns self for chaining."""
+        """This context plus the fact ``left >= right``."""
         l, r = self._coerce(left), self._coerce(right)
         if l is None or r is None:
             return self  # non-affine facts are simply unusable, not errors
-        self._add_fact(l - r)
-        return self
+        return self._with_fact(l - r)
 
     def assume_le(self, left, right) -> "Assumptions":
-        """Record the fact ``left <= right``."""
+        """This context plus the fact ``left <= right``."""
         return self.assume_ge(right, left)
 
     def assume_range(self, var: str, lo=None, hi=None) -> "Assumptions":
-        """Record ``lo <= var <= hi`` (either side optional)."""
+        """This context plus ``lo <= var <= hi`` (either side optional)."""
+        ctx = self
         if lo is not None:
-            self.assume_ge(var, lo)
+            ctx = ctx.assume_ge(var, lo)
         if hi is not None:
-            self.assume_le(var, hi)
-        return self
+            ctx = ctx.assume_le(var, hi)
+        return ctx
 
-    def _add_fact(self, aff: Affine) -> None:
-        """Store ``aff >= 0`` as a bound on each variable it mentions."""
-        if aff.is_constant:
-            return
+    def _with_fact(self, aff: Affine) -> "Assumptions":
+        """This context plus ``aff >= 0``, stored as a bound on each
+        variable it mentions; ``self`` when no bound is new."""
+        lo, hi = dict(self._lo), dict(self._hi)
         for name, coeff in aff.coeffs:
-            rest = aff - Affine.make({name: coeff})
+            rest = aff - Affine(((name, coeff),), 0)
             if coeff > 0:
-                # name >= -rest / coeff
-                bound = -rest * Fraction(1, 1) * (Fraction(1) / coeff)
-                self._lo.setdefault(name, [])
-                if bound not in self._lo[name]:
-                    self._lo[name].append(bound)
+                side, bound = lo, rest * Fraction(-1, coeff)  # name >= -rest / coeff
             else:
-                # name <= rest / (-coeff)
-                bound = rest * (Fraction(1) / (-coeff))
-                self._hi.setdefault(name, [])
-                if bound not in self._hi[name]:
-                    self._hi[name].append(bound)
+                side, bound = hi, rest * Fraction(1, -coeff)  # name <= rest / (-coeff)
+            have = side.get(name, ())
+            if bound not in have:
+                side[name] = have + (bound,)
+        if lo == self._lo and hi == self._hi:
+            return self
+        out = Assumptions()
+        out._lo, out._hi = lo, hi
+        return out
 
     def facts_key(self) -> tuple:
         """Hashable canonical key of the stored facts.
@@ -104,20 +102,25 @@ class Assumptions:
         Two contexts with the same provable facts (same bound sets, in any
         insertion order) produce equal keys, so analysis results computed
         under one context can be reused under a structurally equal one
-        (:mod:`repro.pipeline.cache`).
+        (:mod:`repro.pipeline.cache`).  Values are rendered as
+        ``Fraction`` so the key (and every store digest derived from it)
+        does not depend on :class:`Affine`'s internal number types.
         """
-
-        def side(bounds: dict[str, list[Affine]]) -> tuple:
+        def side(bounds: dict[str, tuple[Affine, ...]]) -> tuple:
             return tuple(
-                (name, tuple(sorted((b.coeffs, b.const) for b in bs)))
+                (name, tuple(sorted(
+                    (tuple((n, Fraction(c)) for n, c in b.coeffs), Fraction(b.const))
+                    for b in bs
+                )))
                 for name, bs in sorted(bounds.items())
-                if bs
             )
 
-        return (side(self._lo), side(self._hi))
+        if self._key is None:
+            self._key = (side(self._lo), side(self._hi))
+        return self._key
 
     # ---- decisions --------------------------------------------------------
-    def _const_bounds(self, aff: Affine, want_upper: bool, depth: int, seen: frozenset[str]) -> list[Fraction]:
+    def _const_bounds(self, aff: Affine, want_upper: bool, depth: int, seen: frozenset[str]) -> list[Rat]:
         """Constant candidates bounding ``aff`` from above (or below)."""
         if aff.is_constant:
             return [aff.const]
@@ -129,8 +132,8 @@ class Assumptions:
             return []
         want_var_upper = (coeff > 0) == want_upper
         candidates = (self._hi if want_var_upper else self._lo).get(name, [])
-        out: list[Fraction] = []
-        rest = aff - Affine.make({name: coeff})
+        out: list[Rat] = []
+        rest = aff - Affine(((name, coeff),), 0)
         for bound in candidates:
             substituted = rest + bound * coeff
             out.extend(
@@ -138,21 +141,27 @@ class Assumptions:
             )
         return out
 
-    def lower_bound(self, e) -> Optional[Fraction]:
-        """Best provable constant lower bound, or None."""
+    def _bound(self, e, upper: bool) -> Optional[Rat]:
         aff = self._coerce(e)
         if aff is None:
             return None
-        vals = self._const_bounds(aff, want_upper=False, depth=_MAX_DEPTH, seen=frozenset())
-        return max(vals) if vals else None
+        if aff.is_constant:
+            return aff.const
+        if not self._lo and not self._hi:
+            return None  # only constants are bounded; shared empty contexts grow no memo
+        key = (aff, upper)
+        if key not in self._bounds:
+            vals = self._const_bounds(aff, upper, _MAX_DEPTH, frozenset())
+            self._bounds[key] = (min(vals) if upper else max(vals)) if vals else None
+        return self._bounds[key]
 
-    def upper_bound(self, e) -> Optional[Fraction]:
+    def lower_bound(self, e) -> Optional[Rat]:
+        """Best provable constant lower bound, or None."""
+        return self._bound(e, upper=False)
+
+    def upper_bound(self, e) -> Optional[Rat]:
         """Best provable constant upper bound, or None."""
-        aff = self._coerce(e)
-        if aff is None:
-            return None
-        vals = self._const_bounds(aff, want_upper=True, depth=_MAX_DEPTH, seen=frozenset())
-        return min(vals) if vals else None
+        return self._bound(e, upper=True)
 
     def is_nonneg(self, e) -> Optional[bool]:
         """True if provably >= 0, False if provably < 0, else None."""
@@ -223,5 +232,5 @@ class Assumptions:
         non-affine bounds are skipped."""
         ctx = Assumptions()
         for var, lo, hi in bounds:
-            ctx.assume_range(var, lo, hi)
+            ctx = ctx.assume_range(var, lo, hi)
         return ctx

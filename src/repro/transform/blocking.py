@@ -101,7 +101,7 @@ def block_loop(
     report.log(f"strip-mined {loop_var} by {as_expr(factor)!r} -> {sm.strip_var}")
 
     if isinstance(sm.factor, Var):
-        ctx.assume_ge(sm.factor.name, 2)
+        ctx = ctx.assume_ge(sm.factor.name, 2)
 
     stuck: set[tuple] = set()
     for _round in range(max_rounds):

@@ -143,7 +143,7 @@ def interchange(
             # J >= a*O + beta  =>  O <= (J - beta) / a.  In the rewritten
             # nest J starts at a*lo_o + beta, so J - beta >= a*lo_o — a
             # fact the floor-division rewrite may need.
-            ctx = ctx.copy().assume_ge(Var(inner.var), Const(a) * lo_o + beta)
+            ctx = ctx.assume_ge(Var(inner.var), Const(a) * lo_o + beta)
             new = build(
                 Const(a) * lo_o + beta,
                 inner.hi,
@@ -165,7 +165,7 @@ def interchange(
         if a > 0:
             # J <= a*O + beta  =>  O >= ceil((J - beta) / a); the rewritten
             # J never goes below the (invariant) original lower bound.
-            ctx = ctx.copy().assume_ge(Var(inner.var), inner.lo)
+            ctx = ctx.assume_ge(Var(inner.var), inner.lo)
             new = build(
                 inner.lo,
                 Const(a) * hi_o + beta,

@@ -64,6 +64,18 @@ class TestAddressing:
         store.put(key, "v")
         assert store.get(key) == (True, "v")
 
+    @pytest.mark.parametrize("workload, digest", [
+        ("lu_nopivot", "22bfb3f1264be4a8d564b56cba9506dde04998d7bd36d90169683486720c3b88"),
+        ("matmul", "2b5948b00ed57da6a4e0c058b78d46c3baf2a50f003791179d9980d514ef1167"),
+        ("givens", "0dfa930632c5b4837741d5ca0281e856b9a7a1452bb1b3f1e6d7ec8216e250bc"),
+    ])
+    def test_derive_job_addresses_are_pinned(self, store, workload, digest):
+        # existing .repro-cache entries must keep hitting: the context
+        # facts in the key render exactly as they always have
+        from repro.serve.jobs import JobSpec, job_key
+
+        assert store.digest(job_key(JobSpec(kind="derive", workload=workload))) == digest
+
     def test_uncanonicalizable_key_raises(self, store):
         with pytest.raises(TypeError, match="cannot canonicalize"):
             store.digest(("k", object()))

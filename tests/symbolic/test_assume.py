@@ -70,11 +70,31 @@ class TestCompare:
         assert ctx.implies_lt(4, Var("N"))
         assert not ctx.implies_lt(5, Var("N"))
 
-    def test_copy_isolated(self):
+
+
+class TestImmutableContext:
+    def test_assume_returns_new_context(self):
         ctx = Assumptions().assume_ge("N", 1)
-        ctx2 = ctx.copy().assume_ge("N", 10)
+        key = ctx.facts_key()
+        assert ctx.lower_bound("N") == 1  # warm the bound memo first
+        ctx2 = ctx.assume_ge("N", 10)
+        assert ctx2 is not ctx
+        assert ctx.facts_key() == key
         assert ctx.lower_bound("N") == 1
         assert ctx2.lower_bound("N") == 10
+
+    def test_range_and_le_leave_receiver_unchanged(self):
+        ctx = Assumptions().assume_ge("K", 1)
+        key = ctx.facts_key()
+        ctx.assume_le("K", Var("N"))
+        ctx.assume_range("J", 1, Var("K"))
+        assert ctx.facts_key() == key
+        assert ctx.upper_bound(Var("K") - Var("N")) is None
+
+    def test_known_or_unusable_fact_returns_same_context(self):
+        ctx = Assumptions().assume_ge("N", 2)
+        assert ctx.assume_ge("N", 2) is ctx
+        assert ctx.assume_ge(Min((Var("A"), Var("B"))), 0) is ctx
 
 
 class TestForLoopNest:

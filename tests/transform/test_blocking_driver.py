@@ -73,3 +73,16 @@ class TestUnblockable:
         assert report.blocked_innermost == 0
         # and the program still runs correctly
         assert_equivalent(p, out, {"N": 9, "IS": 3})
+
+
+class TestContextDoesNotLeak:
+    def test_block_loop_leaves_callers_context_unchanged(self):
+        from repro.algorithms import lu_point_ir
+
+        ctx = Assumptions().assume_ge("N", 2)
+        key = ctx.facts_key()
+        _, report = block_loop(lu_point_ir(), "K", "KS", ctx=ctx)
+        assert report.blocked_innermost >= 1
+        # block_loop assumes KS >= 2 internally; the caller must not see it
+        assert ctx.facts_key() == key
+        assert ctx.lower_bound("KS") is None
